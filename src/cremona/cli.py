@@ -42,20 +42,37 @@ def record_to_json(rec):
     raise CliError(f"cannot serialize {rec!r}")
 
 
+def _json_int(v, key):
+    # JSON numbers arrive as int, float or bool; only a real int is a
+    # record entry (bool is an int subclass, and int() would truncate 1.9)
+    if type(v) is not int:
+        raise CliError(f"bad record document: {key} must be an integer, "
+                       f"got {json.dumps(v)}")
+    return v
+
+
+def _json_ints(v, key):
+    if not isinstance(v, list):
+        raise CliError(f"bad record document: {key} must be a list, "
+                       f"got {json.dumps(v)}")
+    return tuple(_json_int(x, f"{key}[{i}]") for i, x in enumerate(v))
+
+
 def record_from_json(doc):
     try:
         kind = doc["kind"]
+        if kind not in ("divisor", "curve", "surface"):
+            raise CliError(f"unknown record kind {kind!r}")
+        head = (_json_int(doc["s"], "s"), _json_int(doc["d"], "d"),
+                _json_ints(doc["m"], "m"))
         if kind == "divisor":
-            return weyl.DivisorRecord(doc["s"], doc["d"], tuple(doc["m"]))
+            return weyl.DivisorRecord(*head)
         if kind == "curve":
-            return weyl.CurveRecord(doc["s"], doc["d"], tuple(doc["m"]))
-        if kind == "surface":
-            return weyl.SurfaceRecord(doc["s"], doc["d"], tuple(doc["m"]),
-                                      tuple(doc.get("n", (0,) * 8)),
-                                      tuple(doc.get("mline", (0,) * 28)))
+            return weyl.CurveRecord(*head)
+        return weyl.SurfaceRecord(*head, _json_ints(doc.get("n", [0] * 8), "n"),
+                                  _json_ints(doc.get("mline", [0] * 28), "mline"))
     except (KeyError, TypeError, ValueError) as e:
         raise CliError(f"bad record document: {e}") from None
-    raise CliError(f"unknown record kind {doc.get('kind')!r}")
 
 
 def surface_to_triangle(rec):
@@ -312,10 +329,12 @@ def cmd_report(args):
         raise CliError(str(e)) from None
     except json.JSONDecodeError as e:
         raise CliError(f"{args.infile}: {e}") from None
-    if doc.get("kind") != "divisor":
+    if not isinstance(doc, dict) or doc.get("kind") != "divisor":
         raise CliError("the report wants a divisor record")
     try:
-        D = linsys.FatPointDivisor(doc["s"], doc["d"], tuple(doc["m"]))
+        D = linsys.FatPointDivisor(_json_int(doc["s"], "s"),
+                                   _json_int(doc["d"], "d"),
+                                   _json_ints(doc["m"], "m"))
     except (KeyError, ValueError) as e:
         raise CliError(f"bad record document: {e}") from None
 

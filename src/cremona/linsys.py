@@ -8,8 +8,10 @@ into the base locus.  Everything is exact integer arithmetic.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import mul
 
 from . import weyl
 
@@ -84,43 +86,68 @@ def k_quartic(D, k):
     return sum(D.m[i - 1] for i in range(1, D.s + 1) if i != k) - 4 * D.d
 
 
+def _k_values(rec, classes, weight):
+    # sum_i m_i c_i - weight * d * deg(c) for each class c: weight 1 is
+    # minus the divisor-curve pairing, weight 3 minus the divisor form
+    d, m = rec.d, rec.m
+    return [sum(map(mul, m, c.m)) - weight * d * c.d for c in classes]
+
+
 def k_curve(D, C):
     """k_C = -D.C for a curve record C = deg*l - sum mu_i l_i."""
     if D.s != C.s:
         raise ValueError("divisor and curve live on different point counts")
-    return sum(a * b for a, b in zip(D.m, C.m)) - D.d * C.d
+    return _k_values(D, (C,), 1)[0]
+
+
+@lru_cache(maxsize=None)
+def _plane_curves(s):
+    # Weyl plane T -> Gamma_T, the class 2l - l_1 - l_2 - l_3 carried back
+    # along the inverse of T's normalizing word (see k_weyl_plane)
+    seed = weyl.CurveRecord(s, 2, (1, 1, 1) + (0,) * (s - 3))
+    return {T: weyl.apply_word(seed,
+                               weyl.invert_word(weyl.plane_normalizing_word(T)),
+                               allow_contraction=True)
+            for T in weyl.weyl_planes(s)}
 
 
 def k_weyl_plane(D, T):
     """Containment multiplicity of the Weyl plane T in the base locus.
 
-    D is transported by the word that normalizes T to S_1(123), where the
-    multiplicity reads m_1 + m_2 + m_3 - 2d.  On S_1(ijk) this unwinds to
-    m_i + m_j + m_k - 2d, on S_3(1,8) to 2m_1 + m_2 + ... + m_7 - 5d.
+    On S_1(123) the multiplicity is m_1 + m_2 + m_3 - 2d, that is -D.G for
+    the curve class G = 2l - l_1 - l_2 - l_3, and on any T it is defined
+    by moving D along the word w that normalizes T to S_1(123).  The
+    divisor-curve pairing dc - sum m_i mu_i is Weyl invariant, so
+    -(wD).G = -D.(w^-1 G): k_T is the fixed integer form
+    sum m_i mu_i - d c with (c; mu) = w^-1 G, built once per point count
+    for the whole plane orbit.  On S_1(ijk) it reads m_i + m_j + m_k - 2d,
+    on S_3(1,8) it reads 2m_1 + m_2 + ... + m_7 - 5d.
     """
     rec = _as_record(D)
     if rec.s != T.s:
         raise ValueError("divisor and plane live on different point counts")
-    word = weyl.plane_normalizing_word(T)
-    moved = weyl.apply_word(rec, word, allow_contraction=True)
-    return moved.m[0] + moved.m[1] + moved.m[2] - 2 * moved.d
+    try:
+        curve = _plane_curves(rec.s)[T]
+    except KeyError:
+        raise weyl.NotAWeylPlaneError(f"not in the plane orbit: {T!r}") from None
+    return k_curve(rec, curve)
 
 
 def k_weyl_divisor(D, W):
     """Containment multiplicity of the Weyl hyperplane class W.
 
-    Seed case: the hyperplane through four points sits in the base locus
-    with multiplicity m_1 + m_2 + m_3 + m_4 - 3d.  A general W is pulled
-    back to the seed along the inverse of its orbit witness.
+    The hyperplane through the first four points sits in the base locus
+    with multiplicity m_1 + m_2 + m_3 + m_4 - 3d, which is -b(D, W_0) for
+    the divisor form b(D, D') = 3dd' - sum m_i m'_i.  A general W is
+    w W_0 for its orbit witness w, and k_W(D) is defined by pulling D
+    back along w.  Every Cremona and relabeling preserves b, so
+    -b(w^-1 D, W_0) = -b(D, W): k_W = sum m_i w_i - 3 d d_W, with no word
+    to replay.  W must still be a member of the hyperplane orbit.
     """
     rec = _as_record(D)
-    orb = weyl.divisor_orbit(rec.s)
-    try:
-        back = weyl.invert_word(orb.witnesses[W])
-    except KeyError:
-        raise ValueError(f"not in the hyperplane orbit: {W!r}") from None
-    moved = weyl.apply_word(rec, back, allow_contraction=True)
-    return sum(moved.m[:4]) - 3 * moved.d
+    if W not in weyl.divisor_orbit(rec.s).witnesses:
+        raise ValueError(f"not in the hyperplane orbit: {W!r}")
+    return _k_values(rec, (W,), 3)[0]
 
 
 def h1_correction(D):
@@ -150,12 +177,10 @@ def wdim(D, lines_only=False):
         return chi(D) + h1_correction(D)
     rec = _as_record(D)
     total = chi(D)
-    for C in weyl.weyl_lines(rec.s):
-        total += _c4(2 + k_curve(rec, C))
-    for T in weyl.weyl_planes(rec.s):
-        total -= _c4(1 + k_weyl_plane(rec, T))
-    for W in weyl.weyl_divisors(rec.s):
-        total += _c4(k_weyl_divisor(rec, W))
+    total += sum(_c4(2 + k) for k in _k_values(rec, weyl.weyl_lines(rec.s), 1))
+    total -= sum(_c4(1 + k)
+                 for k in _k_values(rec, _plane_curves(rec.s).values(), 1))
+    total += sum(_c4(k) for k in _k_values(rec, weyl.weyl_divisors(rec.s), 3))
     return total
 
 
@@ -201,25 +226,27 @@ def base_locus_report(D):
     conflicts, deep = [], []
     if D.s in weyl.POINT_COUNTS:
         rec = _as_record(D)
-        for C in weyl.weyl_lines(rec.s):
-            k = k_curve(rec, C)
+        curves = weyl.weyl_lines(rec.s)
+        for C, k in zip(curves, _k_values(rec, curves, 1)):
+            if k <= 0:
+                continue
             tag, idx = weyl.classify_curve(C)
-            if k > 0:
-                if tag == "line":
-                    lines[idx] = k
-                else:
-                    quartics[idx[0]] = k
+            if tag == "line":
+                lines[idx] = k
+            else:
+                quartics[idx[0]] = k
             if k >= 2:
                 deep.append((tag, idx, k))
+        gammas = _plane_curves(rec.s)
         listed = []
-        for T in weyl.weyl_planes(rec.s):
-            k = k_weyl_plane(rec, T)
+        for T, k in zip(gammas, _k_values(rec, gammas.values(), 1)):
             if k > 0:
-                planes[plane_id(T)] = k
-                listed.append(T)
-        for A, B in combinations(listed, 2):
-            if weyl.weyl_plane_pairing(A, B):
-                conflicts.append(tuple(sorted((plane_id(A), plane_id(B)))))
+                name = plane_id(T)
+                planes[name] = k
+                listed.append((name, T))
+        for (a, A), (b, B) in combinations(listed, 2):
+            if weyl.surface_form(A, B):
+                conflicts.append((a, b) if a < b else (b, a))
     else:
         for i, j in combinations(range(1, D.s + 1), 2):
             k = k_line(D, i, j)

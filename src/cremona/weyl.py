@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
 POINT_COUNTS = (6, 7, 8)
 
@@ -370,7 +371,7 @@ def canonical_form(rec):
             prev = key
         else:
             blocks[-1].append(i)
-    best = best_order = None
+    best = best_perm = None
 
     def swap_auto(u, v):
         # swapping u and v maps the record to itself, so orders that differ
@@ -385,12 +386,13 @@ def canonical_form(rec):
         return True
 
     def walk(bi, rem, chosen):
-        nonlocal best, best_order
+        nonlocal best, best_perm
         if not rem:
             if bi + 1 == len(blocks):
-                rank = _permuted_surface_data(rec, _order_image(chosen, s))
+                perm = _perm_from_order(chosen, s)
+                rank = _permuted_surface_data(rec, perm.image)
                 if best is None or rank < best:
-                    best, best_order = rank, list(chosen)
+                    best, best_perm = rank, perm
             else:
                 walk(bi + 1, blocks[bi + 1], chosen)
             return
@@ -404,22 +406,13 @@ def canonical_form(rec):
             walk(bi, [w for w in rem if w != u], chosen + [u])
 
     walk(0, blocks[0], [])
-    perm = _perm_from_order(best_order, s)
     m, n, ml = best
-    return SurfaceRecord(s, rec.d, m, n, ml), perm
-
-
-def _order_image(order, s):
-    # image list of the permutation sending order[p-1] to position p
-    image = [0] * s
-    for pos, i in enumerate(order, start=1):
-        image[i - 1] = pos
-    return image
+    return SurfaceRecord(s, rec.d, m, n, ml), best_perm
 
 
 def _permuted_surface_data(rec, image):
     # raw (m, n, mline) tuples of the relabeled record, no dataclass cost
-    img = image + list(range(rec.s + 1, 9))
+    img = list(image) + list(range(rec.s + 1, 9))
     m, n, ml = [0] * 8, [0] * 8, [0] * 28
     for i in range(8):
         m[img[i] - 1] = rec.m[i]
@@ -557,12 +550,16 @@ def s15_surface(i):
 
 # -- classification ----------------------------------------------------
 
+@lru_cache(maxsize=512)
 def classify_surface(rec):
     """Match a surface record against the five Weyl plane families.
 
     Returns (tag, indices): ("S1", (i,j,k)), ("S3", (i,j)), ("S6", (i,j,k)),
     ("S10", (i,j)), ("S15", (i,)) or ("Other", ()).  The match is exact, not
     up to permutation: the defining indices are read off the record.
+    Records are immutable, so the answers are cached; the 266 Weyl planes
+    on 6, 7 and 8 points all fit, which keeps the argument checks of
+    weyl_plane_pairing much cheaper than the template match.
     """
     s, d = rec.s, rec.d
     live = range(1, s + 1)
@@ -831,24 +828,35 @@ def plane_normalizing_word(T):
     return tuple(word)
 
 
+def surface_form(R, T):
+    """The integer form d d' - sum m_i m'_i + sum n_k n'_k + sum m_ij m'_ij.
+
+    This is the intersection pairing of surface records.  A relabeling
+    only permutes its slots and every Cremona is an isometry of it, so it
+    is constant along any word applied to both records.  Nothing is
+    checked here; weyl_plane_pairing is the checked entry point.
+    """
+    return (R.d * T.d - sum(map(mul, R.m, T.m)) + sum(map(mul, R.n, T.n))
+            + sum(map(mul, R.mline, T.mline)))
+
+
 def weyl_plane_pairing(R, T):
     """Intersection number of two Weyl planes; always 0, 1 or 3.
 
-    Transport both planes by a word sending R to S_1(123); one more Cremona
-    at the first five points turns that plane into minus the class of the
-    line L_45, so the pairing is read off as the m_45 entry of T's image.
+    By definition: a word w sends R to S_1(123), one more Cremona c at
+    the first five points turns S_1(123) into the class of the line L_45,
+    and the pairing is the m_45 entry of c w T.  That entry is the
+    surface_form of the L_45 class with c w T, and surface_form is
+    invariant under every generator, so the pairing equals
+    surface_form(R, T) and no word needs replaying.  The tests keep the
+    transport as an independent check.
     """
     if R.s != T.s:
         raise ValueError("records live on different point counts")
-    if classify_surface(T)[0] == "Other":
-        raise NotAWeylPlaneError(f"not in the plane orbit: {T!r}")
-    word = plane_normalizing_word(R)
-    # transport is plain lattice algebra, so T's image may legitimately pass
-    # through degree <= 0 along the way (it contracts to a line or quartic
-    # class); the final m_45 readout is still the intersection number
-    moved = apply_word(T, word, allow_contraction=True)
-    final = cremona5_surface(moved, (1, 2, 3, 4, 5))
-    return final.line(4, 5)
+    for X in (T, R):
+        if classify_surface(X)[0] == "Other":
+            raise NotAWeylPlaneError(f"not in the plane orbit: {X!r}")
+    return surface_form(R, T)
 
 
 def _perm_fixing_123(src, dst, s):

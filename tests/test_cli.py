@@ -340,6 +340,27 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     assert rc == 2 and "unknown record kind" in err
 
 
+def test_json_entries_must_be_integers(capsys, tmp_path):
+    # floats and booleans used to be truncated into a record and processed
+    for doc, bad in (
+            ({"kind": "divisor", "s": 8, "d": 1.9,
+              "m": [1, 1, 1, True, 0, 0, 0, 0.5]}, "d"),
+            ({"kind": "divisor", "s": 8, "d": 1,
+              "m": [1, 1, 1, True, 0, 0, 0, 0]}, "m[3]"),
+            ({"kind": "divisor", "s": 8.0, "d": 1, "m": [1] * 8}, "s")):
+        src = write_json(tmp_path / "f.json", doc)
+        rc, out, err = run(capsys, "cremona", "--kind", "divisor",
+                           "--centers", "1,2,3,4,5", "--in", src)
+        assert rc == 2 and out == "" and f"{bad} must be an integer" in err
+        rc, out, err = run(capsys, "report", "--in", src)
+        assert rc == 2 and out == "" and f"{bad} must be an integer" in err
+    surf = cli.record_to_json(weyl.s1_plane(1, 2, 3))
+    surf["mline"][0] = 1.0
+    src = write_json(tmp_path / "s.json", surf)
+    rc, out, err = run(capsys, "classify", "--kind", "surface", "--in", src)
+    assert rc == 2 and out == "" and "mline[0] must be an integer" in err
+
+
 def test_console_script(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "cremona.cli", "orbit", "--kind", "line",

@@ -1,0 +1,142 @@
+"""Lattice invariants of the Weyl action, checked without orbit words.
+
+The generators act on records by integer formulas.  Three integer forms
+are preserved by every Cremona and every relabeling:
+
+* the divisor form b(D, D') = 3dd' - sum m_i m'_i,
+* the divisor-curve pairing <D, C> = dc - sum m_i mu_i,
+* the surface form d d' - sum m_i m'_i + sum n_k n'_k + sum m_ij m'_ij.
+
+The fast k values and the plane pairing are these forms, so the forms
+are written out here again, independently of the library, and checked
+on random records.  The hyperplane orbit is also recovered from the
+lattice alone, as the solutions of two integer equations, and compared
+with the breadth-first orbit.
+"""
+
+from math import isqrt
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cremona import weyl
+
+SETTINGS = settings(max_examples=150, deadline=None)
+ENTRY = st.integers(-12, 12)
+
+
+def b_form(D, E):
+    return 3 * D.d * E.d - sum(x * y for x, y in zip(D.m, E.m))
+
+
+def dc_pairing(D, C):
+    return D.d * C.d - sum(x * y for x, y in zip(D.m, C.m))
+
+
+def surface_pairing(R, T):
+    return (R.d * T.d - sum(x * y for x, y in zip(R.m, T.m))
+            + sum(x * y for x, y in zip(R.n, T.n))
+            + sum(x * y for x, y in zip(R.mline, T.mline)))
+
+
+@st.composite
+def moves(draw, s):
+    """Five Cremona centers and a relabeling of 1..s."""
+    centers = tuple(sorted(draw(st.permutations(range(1, s + 1)))[:5]))
+    perm = weyl.Perm(tuple(draw(st.permutations(range(1, s + 1)))))
+    return centers, perm
+
+
+@st.composite
+def divisor_curve_case(draw):
+    s = draw(st.sampled_from(weyl.POINT_COUNTS))
+    m = st.lists(ENTRY, min_size=s, max_size=s)
+    D = weyl.DivisorRecord(s, draw(ENTRY), draw(m))
+    E = weyl.DivisorRecord(s, draw(ENTRY), draw(m))
+    C = weyl.CurveRecord(s, draw(ENTRY), draw(m))
+    return D, E, C, draw(moves(s))
+
+
+def surface8():
+    return st.builds(lambda d, m, n, ml: weyl.SurfaceRecord(8, d, m, n, ml),
+                     ENTRY, st.lists(ENTRY, min_size=8, max_size=8),
+                     st.lists(ENTRY, min_size=8, max_size=8),
+                     st.lists(ENTRY, min_size=28, max_size=28))
+
+
+@SETTINGS
+@given(divisor_curve_case())
+def test_divisor_and_curve_forms_preserved(case):
+    D, E, C, (centers, perm) = case
+    b, dc = b_form(D, E), dc_pairing(D, C)
+    D2, E2 = weyl.cremona5_divisor(D, centers), weyl.cremona5_divisor(E, centers)
+    C2 = weyl.cremona5_curve(C, centers)
+    assert b_form(D2, E2) == b
+    assert dc_pairing(D2, C2) == dc
+    assert b_form(weyl.apply_perm(D, perm), weyl.apply_perm(E, perm)) == b
+    assert dc_pairing(weyl.apply_perm(D, perm), weyl.apply_perm(C, perm)) == dc
+    # each Cremona is an involution on the records
+    assert weyl.cremona5_divisor(D2, centers) == D
+    assert weyl.cremona5_curve(C2, centers) == C
+
+
+@SETTINGS
+@given(surface8(), surface8(), moves(8))
+def test_surface_form_preserved(R, T, mv):
+    # s = 8, so all 45 slots of both records are live
+    centers, perm = mv
+    q = surface_pairing(R, T)
+    assert weyl.surface_form(R, T) == q
+    R2, T2 = weyl.cremona5_surface(R, centers), weyl.cremona5_surface(T, centers)
+    assert surface_pairing(R2, T2) == q
+    assert surface_pairing(weyl.apply_perm(R, perm), weyl.apply_perm(T, perm)) == q
+    assert weyl.cremona5_surface(R2, centers) == R
+
+
+def _sorted_solutions(k, total, squares, cap=None):
+    # non-increasing k-tuples of integers (entries <= cap) with the given
+    # sum and sum of squares; the first entry is the largest, so it is at
+    # least the mean and its square is at most the sum of squares
+    if k == 1:
+        if (cap is None or total <= cap) and total * total == squares:
+            yield (total,)
+        return
+    if total * total > k * squares:  # Cauchy-Schwarz
+        return
+    top = isqrt(squares) if cap is None else min(cap, isqrt(squares))
+    for x in range(top, -(-total // k) - 1, -1):
+        for rest in _sorted_solutions(k - 1, total - x, squares - x * x, x):
+            yield (x,) + rest
+
+
+def _arrangements(values):
+    if not values:
+        yield ()
+        return
+    for x in sorted(set(values)):
+        rest = list(values)
+        rest.remove(x)
+        for tail in _arrangements(rest):
+            yield (x,) + tail
+
+
+def lattice_hyperplanes(s):
+    """(d, m) with 3d^2 - sum m^2 = -1, 5d - sum m = 1 and d >= 1.
+
+    Cauchy-Schwarz gives (5d - 1)^2 <= s (3d^2 + 1), which bounds d for
+    s <= 8; the feasible d form an interval starting at 1.
+    """
+    out = set()
+    d = 1
+    while (5 * d - 1) ** 2 <= s * (3 * d * d + 1):
+        for m in _sorted_solutions(s, 5 * d - 1, 3 * d * d + 1):
+            out.update((d, p) for p in _arrangements(m))
+        d += 1
+    return out
+
+
+def test_hyperplane_orbit_is_the_lattice_solution_set():
+    for s, size in ((6, 15), (7, 57), (8, 2152)):
+        orbit = {(W.d, W.m) for W in weyl.weyl_divisors(s)}
+        assert len(orbit) == size
+        assert lattice_hyperplanes(s) == orbit

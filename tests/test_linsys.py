@@ -130,6 +130,26 @@ def test_k_weyl_divisor_rows_and_errors():
         linsys.k_weyl_divisor(Z, weyl.DivisorRecord(8, 1, (0,) * 8))
 
 
+def test_k_forms_match_word_transports():
+    # the k values are read off fixed integer forms; replaying the words
+    # they stand for must give the same numbers on every W and T
+    rng = random.Random(31)
+    for s in weyl.POINT_COUNTS:
+        orb = weyl.divisor_orbit(s)
+        for _ in range(3):
+            D = F(s, rng.randint(0, 9), tuple(rng.randint(-2, 6) for _ in range(s)))
+            rec = weyl.DivisorRecord(s, D.d, D.m)
+            for W in orb.members:
+                back = weyl.apply_word(rec, weyl.invert_word(orb.witnesses[W]),
+                                       allow_contraction=True)
+                assert linsys.k_weyl_divisor(D, W) == sum(back.m[:4]) - 3 * back.d
+            for T in weyl.weyl_planes(s):
+                moved = weyl.apply_word(rec, weyl.plane_normalizing_word(T),
+                                        allow_contraction=True)
+                assert linsys.k_weyl_plane(D, T) == \
+                    moved.m[0] + moved.m[1] + moved.m[2] - 2 * moved.d
+
+
 def test_h1_correction_examples():
     assert linsys.h1_correction(D10) == 9
     assert linsys.h1_correction(F(8, 0, (0,) * 8)) == 0

@@ -61,6 +61,31 @@ def test_pairing_seven_and_six_points():
     assert c.quartic(8) == 1
 
 
+def transport_pairing(R, T):
+    # the pairing by word replay: carry T along the word normalizing R to
+    # S_1(123), then one Cremona at the first five points turns S_1(123)
+    # into the class of the line L_45, and T's m_45 entry is the answer
+    moved = weyl.apply_word(T, weyl.plane_normalizing_word(R),
+                            allow_contraction=True)
+    return weyl.cremona5_surface(moved, (1, 2, 3, 4, 5)).line(4, 5)
+
+
+@pytest.mark.parametrize("s", (6, 7))
+def test_pairing_matches_word_transport_all_pairs(s):
+    planes = weyl.weyl_planes(s)
+    for R in planes:
+        for T in planes:
+            assert weyl.weyl_plane_pairing(R, T) == transport_pairing(R, T)
+
+
+def test_pairing_matches_word_transport_sampled_eight_points():
+    rng = random.Random(808)
+    planes = weyl.weyl_planes(8)
+    for R in planes:
+        for T in rng.sample(planes, 12):
+            assert weyl.weyl_plane_pairing(R, T) == transport_pairing(R, T)
+
+
 def test_pairing_input_errors():
     with pytest.raises(ValueError):
         weyl.weyl_plane_pairing(S123, S1(1, 2, 3, s=7))
