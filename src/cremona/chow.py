@@ -416,3 +416,19 @@ def linear_map(x: ChowClass, images: dict, grade=None) -> ChowClass:
     if out is None:
         return x.ring.zero(x.grade if grade is None else grade)
     return out
+
+
+def int_tuple(values, n, what):
+    """The n entries of values as a tuple of plain ints.
+
+    This is the one entry check of every record type in the package.  An
+    entry whose type is not exactly int (a bool, a float) is refused, not
+    truncated, and so is a wrong length; both raise ValueError.
+    """
+    t = tuple(values)
+    if len(t) != n:
+        raise ValueError(f"{what} needs {n} entries, got {len(t)}")
+    for x in t:
+        if type(x) is not int:
+            raise ValueError(f"{what} must hold integers, got {x!r}")
+    return t

@@ -13,7 +13,6 @@ contracted the class (the image is still printed).
 import argparse
 import json
 import sys
-from itertools import combinations
 
 from . import chow, linsys, p3, p4, weyl
 
@@ -343,23 +342,14 @@ def cmd_report(args):
     h = linsys.h1_correction(D)
     w = linsys.wdim(D, lines_only=not full)
 
-    lines, quartics, planes, conflicts, deep, hint = {}, {}, {}, (), (), False
     if D.s <= 8:
         rep = linsys.base_locus_report(D)
         lines, quartics, planes = rep.lines, rep.quartics, rep.planes
         conflicts, deep, hint = (rep.pairwise_conflicts, rep.deep_curves,
                                  rep.empties_hint)
     else:
-        for i, j in combinations(range(1, D.s + 1), 2):
-            k = linsys.k_line(D, i, j)
-            if k > 0:
-                lines[(i, j)] = k
-            if k >= 2:
-                deep += (("line", (i, j), k),)
-        for sub in combinations(range(1, D.s + 1), 7):
-            k = linsys.k_quartic_through(D, sub)
-            if k > 0:
-                quartics[sub] = k
+        lines, quartics, deep = linsys.positive_curves(D)
+        planes, conflicts, hint = {}, (), False
 
     if args.json:
         print(json.dumps({

@@ -14,20 +14,28 @@ from math import comb
 from operator import mul
 
 from . import weyl
+from .chow import int_tuple
 
 
 def _c4(a):
     return comb(a, 4) if a >= 4 else 0
 
 
+# the line/quartic scan refuses more seven point subsets than this, so
+# s <= 23; cremona report at s = 23 with every quartic listed takes about
+# 2 s (three scans plus the printing), while s = 40 would take minutes
+MAX_QUARTIC_SUBSETS = 250_000
+
+
 @dataclass(frozen=True)
 class FatPointDivisor:
     """The class dH - sum m_i E_i on s general points.
 
-    Plain container: entries may be any integers, though the diagnostics
-    are meant for effective classes (d >= 0, m_i >= 0).  s is arbitrary
-    for chi and the lines-only bookkeeping; the Weyl transport entry
-    points need 6 <= s <= 8.
+    Plain container: s, d and the m_i must be real ints (a bool or a
+    float raises ValueError), though the diagnostics are meant for
+    effective classes (d >= 0, m_i >= 0).  s is arbitrary for chi and the
+    lines-only bookkeeping; the Weyl transport entry points need
+    6 <= s <= 8.
     """
 
     s: int
@@ -35,24 +43,19 @@ class FatPointDivisor:
     m: tuple
 
     def __post_init__(self):
-        if self.s < 1:
+        s, _ = int_tuple((self.s, self.d), 2, "s and d")
+        if s < 1:
             raise ValueError("need at least one point")
-        object.__setattr__(self, "d", int(self.d))
-        m = tuple(int(x) for x in self.m)
-        if len(m) != self.s:
-            raise ValueError(f"expected {self.s} multiplicities, got {len(m)}")
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", int_tuple(self.m, s, "m"))
 
 
-def _as_record(D):
-    # Weyl transport works on the 6..8 point records only
-    if isinstance(D, weyl.DivisorRecord):
-        return D
+def _weyl_points(D):
+    # the plane and hyperplane orbits are classified on 6..8 points only
     if D.s not in weyl.POINT_COUNTS:
         raise ValueError(
             f"Weyl cycles are classified for s in {weyl.POINT_COUNTS}, "
             f"not s={D.s}; wdim(..., lines_only=True) works for any s")
-    return weyl.DivisorRecord(D.s, D.d, D.m)
+    return D.s
 
 
 def chi(D):
@@ -86,10 +89,10 @@ def k_quartic(D, k):
     return sum(D.m[i - 1] for i in range(1, D.s + 1) if i != k) - 4 * D.d
 
 
-def _k_values(rec, classes, weight):
+def _k_values(D, classes, weight):
     # sum_i m_i c_i - weight * d * deg(c) for each class c: weight 1 is
     # minus the divisor-curve pairing, weight 3 minus the divisor form
-    d, m = rec.d, rec.m
+    d, m = D.d, D.m
     return [sum(map(mul, m, c.m)) - weight * d * c.d for c in classes]
 
 
@@ -123,14 +126,14 @@ def k_weyl_plane(D, T):
     for the whole plane orbit.  On S_1(ijk) it reads m_i + m_j + m_k - 2d,
     on S_3(1,8) it reads 2m_1 + m_2 + ... + m_7 - 5d.
     """
-    rec = _as_record(D)
-    if rec.s != T.s:
+    s = _weyl_points(D)
+    if s != T.s:
         raise ValueError("divisor and plane live on different point counts")
     try:
-        curve = _plane_curves(rec.s)[T]
+        curve = _plane_curves(s)[T]
     except KeyError:
         raise weyl.NotAWeylPlaneError(f"not in the plane orbit: {T!r}") from None
-    return k_curve(rec, curve)
+    return k_curve(D, curve)
 
 
 def k_weyl_divisor(D, W):
@@ -144,24 +147,63 @@ def k_weyl_divisor(D, W):
     -b(w^-1 D, W_0) = -b(D, W): k_W = sum m_i w_i - 3 d d_W, with no word
     to replay.  W must still be a member of the hyperplane orbit.
     """
-    rec = _as_record(D)
-    if W not in weyl.divisor_orbit(rec.s).witnesses:
+    if W not in weyl.divisor_orbit(_weyl_points(D)).witnesses:
         raise ValueError(f"not in the hyperplane orbit: {W!r}")
-    return _k_values(rec, (W,), 3)[0]
+    return _k_values(D, (W,), 3)[0]
+
+
+def _curve_cycles(D):
+    # (tag, idx, k) for every line and every quartic through seven points,
+    # in lex order, k read off inline.  On at most eight points a quartic
+    # is the Q_k of quartic_slots, idx = (k,) for the label it misses;
+    # with more points idx lists its seven labels.  For 6 <= s <= 8 these
+    # are exactly the Weyl lines.
+    s, d, m = D.s, D.d, D.m
+    if comb(s, 7) > MAX_QUARTIC_SUBSETS:
+        raise ValueError(
+            f"{comb(s, 7)} quartics through seven of {s} points are more "
+            f"than the scan covers ({MAX_QUARTIC_SUBSETS})")
+    labels = range(1, s + 1)
+    for pair, (a, b) in zip(combinations(labels, 2), combinations(m, 2)):
+        yield "line", pair, a + b - d
+    if s <= 8:
+        rest = sum(m) - 4 * d
+        for k in weyl.quartic_slots(s):
+            yield "quartic", (k,), rest - (m[k - 1] if k <= s else 0)
+    else:
+        for sub, ms in zip(combinations(labels, 7), combinations(m, 7)):
+            yield "quartic", sub, sum(ms) - 4 * d
+
+
+def positive_curves(D):
+    """The lines and quartics with k > 0, and the deep ones (k >= 2).
+
+    Returns (lines, quartics, deep) as in BaseLocusReport, for any s:
+    lines maps (i, j) to k, quartics maps the Q_k label k (s <= 8) or the
+    seven labels (s > 8) to k, deep is the sorted tuple of (tag, idx, k).
+    More than MAX_QUARTIC_SUBSETS seven point subsets raise ValueError.
+    """
+    lines, quartics, deep = {}, {}, []
+    for tag, idx, k in _curve_cycles(D):
+        if k <= 0:
+            continue
+        if tag == "line":
+            lines[idx] = k
+        else:
+            quartics[idx[0] if len(idx) == 1 else idx] = k
+        if k >= 2:
+            deep.append((tag, idx, k))
+    return lines, quartics, tuple(sorted(deep))
 
 
 def h1_correction(D):
     """Sum of C(2 + k_C, 4) over the one dimensional Weyl cycles.
 
     Lines are indexed by point pairs and quartics by seven point subsets,
-    so this makes sense for any s; cycles with k_C <= 1 contribute zero.
+    so this makes sense for any s up to the MAX_QUARTIC_SUBSETS bound
+    (ValueError past it); cycles with k_C <= 1 contribute zero.
     """
-    total = 0
-    for i, j in combinations(range(1, D.s + 1), 2):
-        total += _c4(2 + k_line(D, i, j))
-    for sub in combinations(range(1, D.s + 1), 7):
-        total += _c4(2 + k_quartic_through(D, sub))
-    return total
+    return sum(_c4(2 + k) for _, _, k in _curve_cycles(D))
 
 
 def wdim(D, lines_only=False):
@@ -173,14 +215,12 @@ def wdim(D, lines_only=False):
     for 6 <= s <= 8 only; lines_only=True drops their terms and works
     for any s (that variant is what larger point counts use).
     """
-    if lines_only:
-        return chi(D) + h1_correction(D)
-    rec = _as_record(D)
-    total = chi(D)
-    total += sum(_c4(2 + k) for k in _k_values(rec, weyl.weyl_lines(rec.s), 1))
-    total -= sum(_c4(1 + k)
-                 for k in _k_values(rec, _plane_curves(rec.s).values(), 1))
-    total += sum(_c4(k) for k in _k_values(rec, weyl.weyl_divisors(rec.s), 3))
+    total = chi(D) + h1_correction(D)
+    if not lines_only:
+        s = _weyl_points(D)
+        total -= sum(_c4(1 + k)
+                     for k in _k_values(D, _plane_curves(s).values(), 1))
+        total += sum(_c4(k) for k in _k_values(D, weyl.weyl_divisors(s), 3))
     return total
 
 
@@ -216,30 +256,19 @@ class BaseLocusReport:
 def base_locus_report(D):
     """Scan the Weyl cycles for positive containment multiplicities.
 
-    For 6 <= s <= 8 the classified orbits are scanned in full.  With
-    fewer points no Cremona keeps a line or plane effective, so only the
-    lines L_ij and the actual planes S_1(ijk) are checked, directly.
+    Lines and quartics come from positive_curves for every s.  For
+    6 <= s <= 8 the classified plane orbit is scanned in full.  With
+    fewer points no Cremona keeps a plane effective, so only the actual
+    planes S_1(ijk) are checked, directly.
     """
     if not 1 <= D.s <= 8:
         raise ValueError("the base locus scan covers at most eight points")
-    lines, quartics, planes = {}, {}, {}
-    conflicts, deep = [], []
+    lines, quartics, deep = positive_curves(D)
+    planes, conflicts = {}, []
     if D.s in weyl.POINT_COUNTS:
-        rec = _as_record(D)
-        curves = weyl.weyl_lines(rec.s)
-        for C, k in zip(curves, _k_values(rec, curves, 1)):
-            if k <= 0:
-                continue
-            tag, idx = weyl.classify_curve(C)
-            if tag == "line":
-                lines[idx] = k
-            else:
-                quartics[idx[0]] = k
-            if k >= 2:
-                deep.append((tag, idx, k))
-        gammas = _plane_curves(rec.s)
+        gammas = _plane_curves(D.s)
         listed = []
-        for T, k in zip(gammas, _k_values(rec, gammas.values(), 1)):
+        for T, k in zip(gammas, _k_values(D, gammas.values(), 1)):
             if k > 0:
                 name = plane_id(T)
                 planes[name] = k
@@ -248,12 +277,6 @@ def base_locus_report(D):
             if weyl.surface_form(A, B):
                 conflicts.append((a, b) if a < b else (b, a))
     else:
-        for i, j in combinations(range(1, D.s + 1), 2):
-            k = k_line(D, i, j)
-            if k > 0:
-                lines[(i, j)] = k
-            if k >= 2:
-                deep.append(("line", (i, j), k))
         for tri in combinations(range(1, D.s + 1), 3):
             k = sum(D.m[i - 1] for i in tri) - 2 * D.d
             if k > 0:
@@ -261,9 +284,8 @@ def base_locus_report(D):
         # two triples out of at most five labels always share a point,
         # and actual planes through a common point pair to zero, so no
         # conflicts can show up here
-    deep.sort()
     conflicts.sort()
     return BaseLocusReport(lines=lines, quartics=quartics, planes=planes,
                            pairwise_conflicts=tuple(conflicts),
                            empties_hint=bool(conflicts),
-                           deep_curves=tuple(deep))
+                           deep_curves=deep)

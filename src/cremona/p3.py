@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .chow import ChowClass, ChowRing, WrongGradeError, linear_map
+from .chow import ChowClass, ChowRing, WrongGradeError, int_tuple, linear_map
 
 POINTS = tuple(range(4))
 PAIRS = tuple(combinations(POINTS, 2))
@@ -131,44 +131,26 @@ def cremona(x: ChowClass) -> ChowClass:
     return linear_map(x, _INVOLUTION)
 
 
-def _tuple4(v):
-    v = tuple(int(c) for c in v)
-    if len(v) != 4:
-        raise ValueError(f"need 4 point multiplicities, got {len(v)}")
-    return v
-
-
-def _tuple6(v):
-    v = tuple(int(c) for c in v)
-    if len(v) != 6:
-        raise ValueError(f"need 6 line multiplicities, got {len(v)}")
-    return v
-
-
 @dataclass(frozen=True)
-class P3Divisor:
+class _P3Record:
+    # the body shared by divisor and curve records (distinct types)
+
+    d: int
+    m: tuple
+    nl: tuple
+
+    def __post_init__(self):
+        int_tuple((self.d,), 1, "d")
+        object.__setattr__(self, "m", int_tuple(self.m, 4, "m"))
+        object.__setattr__(self, "nl", int_tuple(self.nl, 6, "nl"))
+
+
+class P3Divisor(_P3Record):
     """Divisor record (d; m_0..m_3; n over PAIRS order)."""
 
-    d: int
-    m: tuple
-    nl: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", _tuple4(self.m))
-        object.__setattr__(self, "nl", _tuple6(self.nl))
-
-
-@dataclass(frozen=True)
-class P3Curve:
+class P3Curve(_P3Record):
     """Curve record (d; m_0..m_3; n over PAIRS order)."""
-
-    d: int
-    m: tuple
-    nl: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _tuple4(self.m))
-        object.__setattr__(self, "nl", _tuple6(self.nl))
 
 
 def divisor_class(D: P3Divisor) -> ChowClass:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .chow import ChowClass, ChowRing, WrongGradeError, linear_map
+from .chow import ChowClass, ChowRing, WrongGradeError, int_tuple, linear_map
 
 POINTS = tuple(range(5))
 PAIRS = tuple(combinations(POINTS, 2))
@@ -355,41 +355,28 @@ def cremona(x: ChowClass) -> ChowClass:
     return linear_map(x, _INVOLUTION)
 
 
-def _fixlen(v, n, what):
-    v = tuple(int(c) for c in v)
-    if len(v) != n:
-        raise ValueError(f"need {n} {what}, got {len(v)}")
-    return v
-
-
 @dataclass(frozen=True)
-class P4Divisor:
+class _P4Record:
+    # the body shared by divisor and curve records (distinct types)
+
+    d: int
+    m: tuple
+    ml: tuple
+    mp: tuple
+
+    def __post_init__(self):
+        int_tuple((self.d,), 1, "d")
+        object.__setattr__(self, "m", int_tuple(self.m, 5, "m"))
+        object.__setattr__(self, "ml", int_tuple(self.ml, 10, "ml"))
+        object.__setattr__(self, "mp", int_tuple(self.mp, 10, "mp"))
+
+
+class P4Divisor(_P4Record):
     """Divisor record (d; m by point; ml by pair; mp by triple)."""
 
-    d: int
-    m: tuple
-    ml: tuple
-    mp: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", _fixlen(self.m, 5, "point entries"))
-        object.__setattr__(self, "ml", _fixlen(self.ml, 10, "pair entries"))
-        object.__setattr__(self, "mp", _fixlen(self.mp, 10, "triple entries"))
-
-
-@dataclass(frozen=True)
-class P4Curve:
+class P4Curve(_P4Record):
     """Curve record (d; m by point; ml by pair; mp by triple)."""
-
-    d: int
-    m: tuple
-    ml: tuple
-    mp: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _fixlen(self.m, 5, "point entries"))
-        object.__setattr__(self, "ml", _fixlen(self.ml, 10, "pair entries"))
-        object.__setattr__(self, "mp", _fixlen(self.mp, 10, "triple entries"))
 
 
 @dataclass(frozen=True)
@@ -409,11 +396,12 @@ class P4Surface:
     np: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _fixlen(self.m, 5, "point entries"))
-        object.__setattr__(self, "ml", _fixlen(self.ml, 10, "pair entries"))
-        object.__setattr__(self, "nl", _fixlen(self.nl, 10, "pair entries"))
-        object.__setattr__(self, "mp", _fixlen(self.mp, 10, "triple entries"))
-        object.__setattr__(self, "np", _fixlen(self.np, 30, "V entries"))
+        int_tuple((self.d,), 1, "d")
+        object.__setattr__(self, "m", int_tuple(self.m, 5, "m"))
+        object.__setattr__(self, "ml", int_tuple(self.ml, 10, "ml"))
+        object.__setattr__(self, "nl", int_tuple(self.nl, 10, "nl"))
+        object.__setattr__(self, "mp", int_tuple(self.mp, 10, "mp"))
+        object.__setattr__(self, "np", int_tuple(self.np, 30, "np"))
 
 
 def divisor_class(D: P4Divisor) -> ChowClass:

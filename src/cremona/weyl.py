@@ -22,6 +22,8 @@ from functools import lru_cache
 from itertools import combinations
 from operator import mul
 
+from .chow import int_tuple
+
 POINT_COUNTS = (6, 7, 8)
 
 # all 28 index pairs in lex order; mline storage follows this layout
@@ -57,11 +59,9 @@ class NoNormalizingWordError(WeylError):
 
 # -- records -----------------------------------------------------------
 
-def _ints(seq, n, what):
-    t = tuple(int(x) for x in seq)
-    if len(t) != n:
-        raise ValueError(f"{what} needs {n} entries, got {len(t)}")
-    return t
+def _check_point_count(s):
+    if type(s) is not int or s not in POINT_COUNTS:
+        raise ValueError("records live on 6, 7 or 8 points")
 
 
 def quartic_slots(s):
@@ -79,33 +79,26 @@ def quartic_slots(s):
 
 
 @dataclass(frozen=True, order=True)
-class DivisorRecord:
+class _PointRecord:
+    # the body shared by divisor and curve records; the two stay distinct
+    # types, so equal fields of different kinds never compare equal
+
+    s: int
+    d: int
+    m: tuple
+
+    def __post_init__(self):
+        _check_point_count(self.s)
+        int_tuple((self.d,), 1, "d")
+        object.__setattr__(self, "m", int_tuple(self.m, self.s, "m"))
+
+
+class DivisorRecord(_PointRecord):
     """Hyperplane-type record (d; m_1 ... m_s)."""
 
-    s: int
-    d: int
-    m: tuple
 
-    def __post_init__(self):
-        if self.s not in POINT_COUNTS:
-            raise ValueError("records live on 6, 7 or 8 points")
-        object.__setattr__(self, "d", int(self.d))
-        object.__setattr__(self, "m", _ints(self.m, self.s, "m"))
-
-
-@dataclass(frozen=True, order=True)
-class CurveRecord:
+class CurveRecord(_PointRecord):
     """Curve record (d; m_1 ... m_s) for degree and point multiplicities."""
-
-    s: int
-    d: int
-    m: tuple
-
-    def __post_init__(self):
-        if self.s not in POINT_COUNTS:
-            raise ValueError("records live on 6, 7 or 8 points")
-        object.__setattr__(self, "d", int(self.d))
-        object.__setattr__(self, "m", _ints(self.m, self.s, "m"))
 
 
 @dataclass(frozen=True, order=True)
@@ -124,12 +117,11 @@ class SurfaceRecord:
     mline: tuple
 
     def __post_init__(self):
-        if self.s not in POINT_COUNTS:
-            raise ValueError("records live on 6, 7 or 8 points")
-        object.__setattr__(self, "d", int(self.d))
-        object.__setattr__(self, "m", _ints(self.m, 8, "m"))
-        object.__setattr__(self, "n", _ints(self.n, 8, "n"))
-        object.__setattr__(self, "mline", _ints(self.mline, 28, "mline"))
+        _check_point_count(self.s)
+        int_tuple((self.d,), 1, "d")
+        object.__setattr__(self, "m", int_tuple(self.m, 8, "m"))
+        object.__setattr__(self, "n", int_tuple(self.n, 8, "n"))
+        object.__setattr__(self, "mline", int_tuple(self.mline, 28, "mline"))
         for i in range(self.s + 1, 9):
             if self.m[i - 1] != 0:
                 raise ValueError(f"point {i} does not exist for s={self.s}")
@@ -196,10 +188,7 @@ class Cremona5:
     centers: tuple
 
     def __post_init__(self):
-        c = tuple(sorted(int(x) for x in self.centers))
-        object.__setattr__(self, "centers", c)
-        if len(set(c)) != 5 or c[0] < 1:
-            raise BadCentersError(f"need five distinct point labels: {c}")
+        object.__setattr__(self, "centers", _check_centers(8, self.centers))
 
 
 def _check_centers(s, centers):
@@ -272,23 +261,14 @@ def apply_perm(rec, perm):
     """Relabel the points of a record."""
     if perm.s != rec.s:
         raise ValueError(f"permutation of {perm.s} labels on an s={rec.s} record")
-    if isinstance(rec, (DivisorRecord, CurveRecord)):
+    if isinstance(rec, _PointRecord):
         m = [0] * rec.s
         for i in range(1, rec.s + 1):
             m[perm(i) - 1] = rec.m[i - 1]
         return type(rec)(rec.s, rec.d, tuple(m))
     if isinstance(rec, SurfaceRecord):
-        img = list(perm.image) + list(range(rec.s + 1, 9))
-        m, n, ml = [0] * 8, [0] * 8, [0] * 28
-        for i in range(1, 9):
-            m[img[i - 1] - 1] = rec.m[i - 1]
-            n[img[i - 1] - 1] = rec.n[i - 1]
-        for k, (i, j) in enumerate(PAIRS8):
-            a, b = img[i - 1], img[j - 1]
-            if a > b:
-                a, b = b, a
-            ml[PAIR_POS[(a, b)]] = rec.mline[k]
-        return SurfaceRecord(rec.s, rec.d, tuple(m), tuple(n), tuple(ml))
+        return SurfaceRecord(rec.s, rec.d,
+                             *_permuted_surface_data(rec, perm.image))
     raise TypeError(f"not a record: {rec!r}")
 
 
@@ -355,7 +335,7 @@ def canonical_form(rec):
     search over the relabelings of points that share (m_i, n_i), since the
     line entries can break such ties either way.
     """
-    if isinstance(rec, (DivisorRecord, CurveRecord)):
+    if isinstance(rec, _PointRecord):
         order = sorted(range(1, rec.s + 1), key=lambda i: (rec.m[i - 1], i))
         perm = _perm_from_order(order, rec.s)
         return apply_perm(rec, perm), perm

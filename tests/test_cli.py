@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -230,6 +231,37 @@ def test_report_lines_only_large_s(capsys, tmp_path):
     assert lines[1].startswith("lines: L_12:2")
     assert "L_1,10:2" in lines[1]
     assert any(ln.startswith("deep: line(1,2):2") for ln in lines)
+
+
+def test_report_deep_quartics_large_s(capsys, tmp_path):
+    # (1; 1^10): every quartic through seven points has k = 7 - 4 = 3, so
+    # all 120 of them are deep, as the s <= 8 report lists them
+    src = write_json(tmp_path / "d.json",
+                     {"kind": "divisor", "s": 10, "d": 1, "m": [1] * 10})
+    rc, out, _ = run(capsys, "report", "--in", src)
+    assert rc == 0
+    deep = [ln for ln in out.splitlines() if ln.startswith("deep: ")]
+    assert len(deep) == 1
+    parts = deep[0][len("deep: "):].split()
+    assert parts[0] == "quartic(1,2,3,4,5,6,7):3"
+    assert parts[-1] == "quartic(4,5,6,7,8,9,10):3"
+    assert len(parts) == 120
+    rc, out, _ = run(capsys, "report", "--in", src, "--json")
+    assert rc == 0
+    doc = json.loads(out)
+    assert len(doc["quartics"]) == 120
+    assert doc["deep"][0] == ["quartic", [1, 2, 3, 4, 5, 6, 7], 3]
+    assert len(doc["deep"]) == 120
+
+
+def test_report_large_s_is_refused_quickly(capsys, tmp_path):
+    # C(40, 7) quartic subsets: the scan bound turns hours into exit 2
+    src = write_json(tmp_path / "d.json",
+                     {"kind": "divisor", "s": 40, "d": 1, "m": [1] * 40})
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "report", "--in", src)
+    assert time.perf_counter() - start < 5
+    assert rc == 2 and out == "" and "more than the scan covers" in err
 
 
 def test_report_full(capsys, tmp_path):

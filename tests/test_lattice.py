@@ -93,6 +93,35 @@ def test_surface_form_preserved(R, T, mv):
     assert weyl.cremona5_surface(R2, centers) == R
 
 
+@st.composite
+def record_case(draw):
+    """A divisor, curve or surface record on s = 6, 7 or 8 points (zero in
+    the slots that do not exist for s), with a Cremona and a relabeling."""
+    s = draw(st.sampled_from(weyl.POINT_COUNTS))
+    kind = draw(st.sampled_from(("divisor", "curve", "surface")))
+    d, m = draw(ENTRY), draw(st.lists(ENTRY, min_size=s, max_size=s))
+    if kind == "divisor":
+        rec = weyl.DivisorRecord(s, d, m)
+    elif kind == "curve":
+        rec = weyl.CurveRecord(s, d, m)
+    else:
+        n = [draw(ENTRY) if k in weyl.quartic_slots(s) else 0
+             for k in range(1, 9)]
+        ml = [draw(ENTRY) if j <= s else 0 for _, j in weyl.PAIRS8]
+        rec = weyl.SurfaceRecord(s, d, m + [0] * (8 - s), n, ml)
+    return rec, draw(moves(s))
+
+
+@SETTINGS
+@given(record_case())
+def test_cremona_is_relabeling_equivariant(case):
+    # sigma . cremona5(r, I) = cremona5(sigma . r, sigma(I))
+    rec, (centers, perm) = case
+    moved = tuple(sorted(perm(i) for i in centers))
+    assert (weyl.apply_perm(weyl.apply_cremona5(rec, centers), perm)
+            == weyl.apply_cremona5(weyl.apply_perm(rec, perm), moved))
+
+
 def _sorted_solutions(k, total, squares, cap=None):
     # non-increasing k-tuples of integers (entries <= cap) with the given
     # sum and sum of squares; the first entry is the largest, so it is at

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -170,6 +171,34 @@ def test_h1_correction_zero_when_k_at_most_one():
                for sub in combinations(range(1, s + 1), 7)]
         if max(ks) <= 1:
             assert linsys.h1_correction(D) == 0
+
+
+def test_line_quartic_scan_matches_line_orbit():
+    # the pair/seven-subset scan against the Weyl line orbit, the way
+    # wdim and base_locus_report read the curves before the scan
+    rng = random.Random(41)
+    for s in weyl.POINT_COUNTS:
+        curves = weyl.weyl_lines(s)
+        assert len(curves) == comb(s, 2) + len(weyl.quartic_slots(s))
+        for _ in range(40):
+            D = F(s, rng.randint(0, 8), tuple(rng.randint(0, 6) for _ in range(s)))
+            ks = [(C, linsys.k_curve(D, C)) for C in curves]
+            assert linsys.h1_correction(D) == sum(
+                comb(2 + k, 4) for _, k in ks if k >= 2)
+            lines, quartics, deep = {}, {}, []
+            for C, k in ks:
+                if k <= 0:
+                    continue
+                tag, idx = weyl.classify_curve(C)
+                if tag == "line":
+                    lines[idx] = k
+                else:
+                    quartics[idx[0]] = k
+                if k >= 2:
+                    deep.append((tag, idx, k))
+            rep = linsys.base_locus_report(D)
+            assert rep.lines == lines and rep.quartics == quartics
+            assert rep.deep_curves == tuple(sorted(deep))
 
 
 def test_wdim_examples():
