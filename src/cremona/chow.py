@@ -402,7 +402,7 @@ def degree(x: ChowClass) -> int:
     return x.ring.degree(x)
 
 
-def linear_map(x: ChowClass, images: dict, grade=None) -> ChowClass:
+def linear_map(x: ChowClass, images: dict) -> ChowClass:
     """Apply a basis-indexed linear map to a class.
 
     ``images[elem]`` is the image class of each basis cycle; all images of
@@ -414,7 +414,7 @@ def linear_map(x: ChowClass, images: dict, grade=None) -> ChowClass:
         img = scale(images[e], c)
         out = img if out is None else add(out, img)
     if out is None:
-        return x.ring.zero(x.grade if grade is None else grade)
+        return x.ring.zero(x.grade)
     return out
 
 

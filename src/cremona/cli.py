@@ -43,16 +43,17 @@ def record_to_json(rec):
 
 def _json_int(v, key):
     # JSON numbers arrive as int, float or bool; only a real int is a
-    # record entry (bool is an int subclass, and int() would truncate 1.9)
+    # record entry or a Chow coefficient (bool is an int subclass, and
+    # int() would truncate 1.9)
     if type(v) is not int:
-        raise CliError(f"bad record document: {key} must be an integer, "
+        raise CliError(f"bad document: {key} must be an integer, "
                        f"got {json.dumps(v)}")
     return v
 
 
 def _json_ints(v, key):
     if not isinstance(v, list):
-        raise CliError(f"bad record document: {key} must be a list, "
+        raise CliError(f"bad document: {key} must be a list, "
                        f"got {json.dumps(v)}")
     return tuple(_json_int(x, f"{key}[{i}]") for i, x in enumerate(v))
 
@@ -167,11 +168,12 @@ def chow_from_json(doc, ring_name):
     ring = _RINGS[ring_name]
     terms = doc.get("terms", {})
     try:
-        pairs = [(_shift_name(name, -1), int(c)) for name, c in terms.items()]
+        pairs = [(_shift_name(name, -1), _json_int(c, f"terms[{name}]"))
+                 for name, c in terms.items()]
         if pairs:
             grade = ring._coerce(pairs[0][0]).grade
         else:
-            grade = int(doc.get("grade", 0))
+            grade = _json_int(doc.get("grade", 0), "grade")
         return ring.make_class(grade, pairs)
     except chow.ChowError as e:
         raise CliError(str(e)) from None

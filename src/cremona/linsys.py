@@ -103,28 +103,36 @@ def k_curve(D, C):
     return _k_values(D, (C,), 1)[0]
 
 
+def _plane_curve(T):
+    # Gamma_T = (5d - sum m_ij - 4 sum n_k; 3m_i - sum_j m_ij + n_i - sum n_k)
+    # for a surface record T (see k_weyl_plane)
+    ntot = sum(T.n)
+    mu = [3 * m + n - ntot for m, n in zip(T.m, T.n)]
+    for (i, j), v in zip(weyl.PAIRS8, T.mline):
+        mu[i - 1] -= v
+        mu[j - 1] -= v
+    return weyl.CurveRecord(T.s, 5 * T.d - sum(T.mline) - 4 * ntot, mu[:T.s])
+
+
 @lru_cache(maxsize=None)
 def _plane_curves(s):
-    # Weyl plane T -> Gamma_T, the class 2l - l_1 - l_2 - l_3 carried back
-    # along the inverse of T's normalizing word (see k_weyl_plane)
-    seed = weyl.CurveRecord(s, 2, (1, 1, 1) + (0,) * (s - 3))
-    return {T: weyl.apply_word(seed,
-                               weyl.invert_word(weyl.plane_normalizing_word(T)),
-                               allow_contraction=True)
-            for T in weyl.weyl_planes(s)}
+    return {T: _plane_curve(T) for T in weyl.weyl_planes(s)}
 
 
 def k_weyl_plane(D, T):
     """Containment multiplicity of the Weyl plane T in the base locus.
 
     On S_1(123) the multiplicity is m_1 + m_2 + m_3 - 2d, that is -D.G for
-    the curve class G = 2l - l_1 - l_2 - l_3, and on any T it is defined
-    by moving D along the word w that normalizes T to S_1(123).  The
+    the curve class G = 2l - l_1 - l_2 - l_3.  On any T it is defined by
+    moving D along the word w that normalizes T to S_1(123); the
     divisor-curve pairing dc - sum m_i mu_i is Weyl invariant, so
-    -(wD).G = -D.(w^-1 G): k_T is the fixed integer form
-    sum m_i mu_i - d c with (c; mu) = w^-1 G, built once per point count
-    for the whole plane orbit.  On S_1(ijk) it reads m_i + m_j + m_k - 2d,
-    on S_3(1,8) it reads 2m_1 + m_2 + ... + m_7 - 5d.
+    -(wD).G = -D.Gamma_T with Gamma_T = w^-1 G.  Gamma_T is a fixed
+    integer linear map of T's record: degree 5d - sum m_ij - 4 sum n_k and
+    mu_i = 3m_i - sum_j m_ij + n_i - sum n_k.  That map commutes with every
+    Cremona and relabeling and sends S_1(123) to G, so it equals the
+    transport along any normalizing word, and no word is replayed.  On
+    S_1(ijk) k_T reads m_i + m_j + m_k - 2d, on S_3(1,8) it reads
+    2m_1 + m_2 + ... + m_7 - 5d.
     """
     s = _weyl_points(D)
     if s != T.s:

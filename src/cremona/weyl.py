@@ -154,10 +154,9 @@ class Perm:
     image: tuple
 
     def __post_init__(self):
-        img = tuple(int(x) for x in self.image)
+        img = tuple(self.image)
+        _check_labels(img, len(img), len(img))
         object.__setattr__(self, "image", img)
-        if sorted(img) != list(range(1, len(img) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(img)}: {img}")
 
     @property
     def s(self):
@@ -192,10 +191,19 @@ class Cremona5:
 
 
 def _check_centers(s, centers):
-    c = tuple(sorted(int(x) for x in centers))
-    if len(set(c)) != 5 or c[0] < 1 or c[-1] > s:
-        raise BadCentersError(f"need five distinct centers within 1..{s}: {centers}")
-    return c
+    try:
+        return _check_labels(centers, s, 5)
+    except ValueError:
+        raise BadCentersError(
+            f"need five distinct centers within 1..{s}: {centers}") from None
+
+
+def _check_labels(labels, s, want):
+    # the one point label check: want distinct ints in 1..s, returned sorted
+    pts = tuple(sorted(int_tuple(labels, want, "point labels")))
+    if len(set(pts)) != want or pts and (pts[0] < 1 or pts[-1] > s):
+        raise ValueError(f"need {want} distinct point labels in 1..{s}: {labels}")
+    return pts
 
 
 # -- generator actions -------------------------------------------------
@@ -407,13 +415,6 @@ def _permuted_surface_data(rec, image):
 
 # -- seed templates ----------------------------------------------------
 
-def _check_labels(labels, s, want):
-    pts = tuple(sorted(int(x) for x in labels))
-    if len(set(pts)) != want or pts[0] < 1 or pts[-1] > s:
-        raise ValueError(f"need {want} distinct point labels in 1..{s}: {labels}")
-    return pts
-
-
 def line_record(i, j, s=8):
     """The line L_ij through two of the points."""
     i, j = _check_labels((i, j), s, 2)
@@ -424,6 +425,7 @@ def line_record(i, j, s=8):
 
 def quartic_record(k, s=8):
     """The rational normal quartic through the seven points other than p_k."""
+    k, = _check_labels((k,), 8, 1)
     if k not in quartic_slots(s):
         raise ValueError(f"no quartic Q_{k} on {s} points")
     m = [1] * s
@@ -460,12 +462,9 @@ def s3_cubic(i, j, s=8):
     """
     if s not in (7, 8):
         raise ValueError("the cubic cone family needs at least seven points")
-    i = int(i)
-    j = int(j)
-    if not 1 <= i <= s:
-        raise ValueError(f"vertex label out of range: {i}")
-    if j not in quartic_slots(s) or j == i:
-        raise ValueError(f"no quartic Q_{j} away from p_{i} on {s} points")
+    _check_labels((i, j), 8, 2)
+    if i > s or j not in quartic_slots(s):
+        raise ValueError(f"no cubic cone S_3({i},{j}) on {s} points")
     m, n, ml = [0] * 8, [0] * 8, [0] * 28
     m[i - 1] = 3
     n[j - 1] = 1
@@ -513,9 +512,7 @@ def s10_surface(i, j):
 
 def s15_surface(i):
     """The degree fifteen Weyl plane S_15(i)."""
-    i = int(i)
-    if not 1 <= i <= 8:
-        raise ValueError(f"point label out of range: {i}")
+    i, = _check_labels((i,), 8, 1)
     rest = [t for t in range(1, 9) if t != i]
     m, n, ml = [0] * 8, [0] * 8, [0] * 28
     m[i - 1] = 3
@@ -530,68 +527,43 @@ def s15_surface(i):
 
 # -- classification ----------------------------------------------------
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=None)
+def _named_cycles(s):
+    # every named line, quartic and plane on s points, built by its
+    # template: (curve record -> (tag, idx), surface record -> (tag, idx));
+    # two dicts, so a curve never classifies as a plane
+    labels = range(1, s + 1)
+    curves = {line_record(i, j, s=s): ("line", (i, j))
+              for i, j in combinations(labels, 2)}
+    curves.update((quartic_record(k, s=s), ("quartic", (k,)))
+                  for k in quartic_slots(s))
+    planes = {s1_plane(*t, s=s): ("S1", t) for t in combinations(labels, 3)}
+    if s >= 7:
+        planes.update((s3_cubic(i, j, s=s), ("S3", (i, j)))
+                      for j in quartic_slots(s) for i in labels if i != j)
+    if s == 8:
+        planes.update((s6_sextic(*t), ("S6", t))
+                      for t in combinations(labels, 3))
+        planes.update((s10_surface(*q), ("S10", q))
+                      for q in combinations(labels, 2))
+        planes.update((s15_surface(i), ("S15", (i,))) for i in labels)
+    return curves, planes
+
+
 def classify_surface(rec):
     """Match a surface record against the five Weyl plane families.
 
     Returns (tag, indices): ("S1", (i,j,k)), ("S3", (i,j)), ("S6", (i,j,k)),
-    ("S10", (i,j)), ("S15", (i,)) or ("Other", ()).  The match is exact, not
-    up to permutation: the defining indices are read off the record.
-    Records are immutable, so the answers are cached; the 266 Weyl planes
-    on 6, 7 and 8 points all fit, which keeps the argument checks of
-    weyl_plane_pairing much cheaper than the template match.
+    ("S10", (i,j)), ("S15", (i,)) or ("Other", ()).  The match is exact,
+    not up to permutation: a table lookup among the records the templates
+    build, so each family is defined once, by its template.
     """
-    s, d = rec.s, rec.d
-    live = range(1, s + 1)
-    try:
-        if d == 1:
-            tri = tuple(i for i in live if rec.m[i - 1] == 1)
-            if len(tri) == 3 and rec == s1_plane(*tri, s=s):
-                return "S1", tri
-        elif d == 3 and s >= 7:
-            tips = [i for i in live if rec.m[i - 1] == 3]
-            if len(tips) == 1:
-                i = tips[0]
-                if s == 7:
-                    j = 8
-                else:
-                    holes = [x for x in live if rec.m[x - 1] == 0]
-                    j = holes[0] if len(holes) == 1 else 0
-                if j and rec == s3_cubic(i, j, s=s):
-                    return "S3", (i, j)
-        elif d == 6 and s == 8:
-            tri = tuple(i for i in live if rec.m[i - 1] == 1)
-            if len(tri) == 3 and rec == s6_sextic(*tri):
-                return "S6", tri
-        elif d == 10 and s == 8:
-            pair = tuple(i for i in live if rec.m[i - 1] == 6)
-            if len(pair) == 2 and rec == s10_surface(*pair):
-                return "S10", pair
-        elif d == 15 and s == 8:
-            tips = [i for i in live if rec.m[i - 1] == 3]
-            if len(tips) == 1 and rec == s15_surface(tips[0]):
-                return "S15", (tips[0],)
-    except ValueError:
-        pass
-    return "Other", ()
+    return _named_cycles(rec.s)[1].get(rec, ("Other", ()))
 
 
 def classify_curve(rec):
     """Tag a curve record as a line L_ij, a quartic Q_k, or Other."""
-    s = rec.s
-    if rec.d == 1:
-        pts = tuple(i for i in range(1, s + 1) if rec.m[i - 1] == 1)
-        if len(pts) == 2 and rec == line_record(*pts, s=s):
-            return "line", pts
-    elif rec.d == 4 and s >= 7:
-        if s == 7:
-            k = 8
-        else:
-            holes = [i for i in range(1, 9) if rec.m[i - 1] == 0]
-            k = holes[0] if len(holes) == 1 else 0
-        if k and rec == quartic_record(k, s=s):
-            return "quartic", (k,)
-    return "Other", ()
+    return _named_cycles(rec.s)[0].get(rec, ("Other", ()))
 
 
 def divisor_type(rec):
@@ -632,10 +604,6 @@ class OrbitResult:
     witnesses: dict
     contracted: tuple
     type_census: dict
-
-    @property
-    def canonical_members(self):
-        return tuple(sorted({canonical_form(r)[0] for r in self.members}))
 
 
 def _word_of_perm(perm):
@@ -769,18 +737,6 @@ def _plane_reduction_centers(tag, idx, s):
     raise NotAWeylPlaneError(f"no reduction step for tag {tag}")
 
 
-def _perm_moving(src, dst, s):
-    # relabeling sending the tuple src onto dst, rest in increasing order
-    image = [0] * s
-    for a, b in zip(src, dst):
-        image[a - 1] = b
-    rest_src = [i for i in range(1, s + 1) if i not in src]
-    rest_dst = [i for i in range(1, s + 1) if i not in dst]
-    for a, b in zip(rest_src, rest_dst):
-        image[a - 1] = b
-    return Perm(tuple(image))
-
-
 @lru_cache(maxsize=None)
 def plane_normalizing_word(T):
     """Word sending the Weyl plane T to the actual plane S_1(123).
@@ -802,7 +758,7 @@ def plane_normalizing_word(T):
         if cur_tag == "Other":
             raise NotAWeylPlaneError(
                 f"reduction fell out of the plane families at {cur!r}")
-    perm = _perm_moving(cur_idx, (1, 2, 3), cur.s)
+    perm = _perm_fixing_123(cur_idx, (1, 2, 3), cur.s)
     if not perm.is_identity:
         word.append(perm)
     return tuple(word)

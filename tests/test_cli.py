@@ -218,6 +218,16 @@ def test_mul_errors(capsys, tmp_path):
     assert rc == 2
 
 
+def test_chow_coefficients_must_be_integers(capsys, tmp_path):
+    # int() used to truncate these: H^2 came out as {"S": 1} with exit 0
+    for terms, grade, bad in (({"H": 1.9}, None, "terms[H]"),
+                              ({"H": True}, None, "terms[H]"),
+                              ({}, 1.5, "grade")):
+        a = chow_file(tmp_path / "a.json", "x4", terms, grade)
+        rc, out, err = run(capsys, "mul", "--ring", "x4", "--a", a, "--b", a)
+        assert rc == 2 and out == "" and f"{bad} must be an integer" in err
+
+
 # -- report --------------------------------------------------------------
 
 def test_report_lines_only_large_s(capsys, tmp_path):

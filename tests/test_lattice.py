@@ -14,12 +14,13 @@ lattice alone, as the solutions of two integer equations, and compared
 with the breadth-first orbit.
 """
 
+from itertools import combinations
 from math import isqrt
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cremona import weyl
+from cremona import linsys, weyl
 
 SETTINGS = settings(max_examples=150, deadline=None)
 ENTRY = st.integers(-12, 12)
@@ -120,6 +121,34 @@ def test_cremona_is_relabeling_equivariant(case):
     moved = tuple(sorted(perm(i) for i in centers))
     assert (weyl.apply_perm(weyl.apply_cremona5(rec, centers), perm)
             == weyl.apply_cremona5(weyl.apply_perm(rec, perm), moved))
+
+
+def unit_surfaces():
+    """The 45 surface records on eight points with one slot 1, the rest 0."""
+    for pos in range(45):
+        f = [0] * 45
+        f[pos] = 1
+        yield weyl.SurfaceRecord(8, f[0], f[1:9], f[9:17], f[17:])
+
+
+def test_plane_curve_form_is_weyl_equivariant():
+    # k_weyl_plane reads Gamma_T off a fixed linear map of T's record.  The
+    # map, the Cremonas and the relabelings are all linear, so commuting
+    # on the unit records with every Cremona and every adjacent swap means
+    # commuting with every word; with S_1(123) -> 2l - l_1 - l_2 - l_3 the
+    # map is the transport of that class along any normalizing word
+    gamma = linsys._plane_curve
+    assert gamma(weyl.s1_plane(1, 2, 3)) == \
+        weyl.CurveRecord(8, 2, (1, 1, 1, 0, 0, 0, 0, 0))
+    swaps = [weyl.Perm(tuple(range(1, t)) + (t + 1, t) + tuple(range(t + 2, 9)))
+             for t in range(1, 8)]
+    for R in unit_surfaces():
+        G = gamma(R)
+        for centers in combinations(range(1, 9), 5):
+            assert gamma(weyl.cremona5_surface(R, centers)) == \
+                weyl.cremona5_curve(G, centers)
+        for tau in swaps:
+            assert gamma(weyl.apply_perm(R, tau)) == weyl.apply_perm(G, tau)
 
 
 def _sorted_solutions(k, total, squares, cap=None):

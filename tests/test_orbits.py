@@ -54,6 +54,57 @@ def test_template_arrays_are_members():
     assert weyl.s15_surface(1) in members
 
 
+TEMPLATES = {"line": weyl.line_record, "quartic": weyl.quartic_record,
+             "S1": weyl.s1_plane, "S3": weyl.s3_cubic, "S6": weyl.s6_sextic,
+             "S10": weyl.s10_surface, "S15": weyl.s15_surface}
+
+
+def _rebuild(tag, idx, s):
+    if tag in ("S6", "S10", "S15"):
+        return TEMPLATES[tag](*idx)
+    return TEMPLATES[tag](*idx, s=s)
+
+
+def _nudged(rec):
+    # rec with one live slot moved by +1 or -1, for every live slot
+    s = rec.s
+    if isinstance(rec, weyl.CurveRecord):
+        yield weyl.CurveRecord(s, rec.d + 1, rec.m)
+        yield weyl.CurveRecord(s, rec.d - 1, rec.m)
+        for i in range(s):
+            for e in (1, -1):
+                m = list(rec.m)
+                m[i] += e
+                yield weyl.CurveRecord(s, rec.d, m)
+        return
+    fields = [rec.d, *rec.m, *rec.n, *rec.mline]
+    live = ([0] + [1 + i for i in range(s)]
+            + [9 + k - 1 for k in weyl.quartic_slots(s)]
+            + [17 + p for p, (_, j) in enumerate(weyl.PAIRS8) if j <= s])
+    for pos in live:
+        for e in (1, -1):
+            f = list(fields)
+            f[pos] += e
+            yield weyl.SurfaceRecord(s, f[0], f[1:9], f[9:17], f[17:])
+
+
+@pytest.mark.parametrize("s, n_curves, n_planes",
+                         [(6, 15, 20), (7, 22, 42), (8, 36, 204)])
+def test_classification_table_is_exact(s, n_curves, n_planes):
+    curves, planes = weyl._named_cycles(s)
+    assert len(curves) == n_curves and len(planes) == n_planes
+    assert set(curves) == set(weyl.weyl_lines(s))
+    assert set(planes) == set(weyl.weyl_planes(s))
+    for members, classify in ((weyl.weyl_lines(s), weyl.classify_curve),
+                              (weyl.weyl_planes(s), weyl.classify_surface)):
+        for rec in members:
+            tag, idx = classify(rec)
+            assert _rebuild(tag, idx, s) == rec
+            assert all(classify(r) == ("Other", ()) for r in _nudged(rec))
+    # the two tables stay apart: a curve never reads as a plane
+    assert weyl.classify_surface(weyl.line_record(1, 2, s=s)) == ("Other", ())
+
+
 def test_divisor_orbit_8_census_frozen():
     res = weyl.divisor_orbit(8)
     assert len(res.members) == 2152

@@ -70,6 +70,30 @@ def test_bad_centers():
         weyl.cremona5_divisor(weyl.DivisorRecord(6, 1, (1,) * 6), (1, 2, 3, 4, 7))
 
 
+D8 = weyl.DivisorRecord(8, 1, (1, 1, 1, 1, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("error, build", [
+    (weyl.BadCentersError, lambda: weyl.Cremona5((1.9, 2, 3, 4, 5))),
+    (weyl.BadCentersError, lambda: weyl.cremona5_divisor(D8, (1, 2, 3, 4, 5.0))),
+    (ValueError, lambda: weyl.Perm((True, 2, 3, 4, 5, 6))),
+    (ValueError, lambda: weyl.line_record(True, 2)),
+    (ValueError, lambda: weyl.quartic_record(True)),
+    (ValueError, lambda: weyl.hyperplane_record((1, 2, 3, 4.0))),
+    (ValueError, lambda: weyl.s1_plane(1.5, 2, 3)),
+    (ValueError, lambda: weyl.s3_cubic(1, 8.0)),
+    (ValueError, lambda: weyl.s6_sextic(1, 2, 3.0)),
+    (ValueError, lambda: weyl.s10_surface(1.0, 2)),
+    (ValueError, lambda: weyl.s15_surface(2.7)),
+], ids=["Cremona5", "cremona5_divisor", "Perm", "line_record",
+        "quartic_record", "hyperplane_record", "s1_plane", "s3_cubic",
+        "s6_sextic", "s10_surface", "s15_surface"])
+def test_point_labels_must_be_integers(error, build):
+    # int() used to truncate these labels (1.9 -> 1, True -> 1)
+    with pytest.raises(error):
+        build()
+
+
 def test_cremona5_divisor_hyperplane_cases():
     D = weyl.DivisorRecord(8, 1, (1, 1, 1, 1, 0, 0, 0, 0))
     # all four marked points among the centers: the hyperplane contracts
