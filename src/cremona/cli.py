@@ -160,6 +160,8 @@ def _shift_name(name, delta):
 
 
 def chow_from_json(doc, ring_name):
+    if not isinstance(doc, dict):
+        raise CliError("expected a chow document, a JSON object")
     if doc.get("kind") != "chow":
         raise CliError(f"expected a chow document, got kind {doc.get('kind')!r}")
     if doc.get("ring", ring_name) != ring_name:
@@ -167,6 +169,8 @@ def chow_from_json(doc, ring_name):
                        f"command says {ring_name}")
     ring = _RINGS[ring_name]
     terms = doc.get("terms", {})
+    if not isinstance(terms, dict):
+        raise CliError("terms must be an object mapping class names to integers")
     try:
         pairs = [(_shift_name(name, -1), _json_int(c, f"terms[{name}]"))
                  for name, c in terms.items()]

@@ -50,7 +50,7 @@ class FatPointDivisor:
 
 
 def _weyl_points(D):
-    # the plane and hyperplane orbits are classified on 6..8 points only
+    # the Weyl planes and hyperplane classes are listed on 6..8 points only
     if D.s not in weyl.POINT_COUNTS:
         raise ValueError(
             f"Weyl cycles are classified for s in {weyl.POINT_COUNTS}, "
@@ -140,7 +140,7 @@ def k_weyl_plane(D, T):
     try:
         curve = _plane_curves(s)[T]
     except KeyError:
-        raise weyl.NotAWeylPlaneError(f"not in the plane orbit: {T!r}") from None
+        raise weyl.NotAWeylPlaneError(f"not a Weyl plane: {T!r}") from None
     return k_curve(D, curve)
 
 
@@ -150,13 +150,15 @@ def k_weyl_divisor(D, W):
     The hyperplane through the first four points sits in the base locus
     with multiplicity m_1 + m_2 + m_3 + m_4 - 3d, which is -b(D, W_0) for
     the divisor form b(D, D') = 3dd' - sum m_i m'_i.  A general W is
-    w W_0 for its orbit witness w, and k_W(D) is defined by pulling D
+    w W_0 for some Weyl word w, and k_W(D) is defined by pulling D
     back along w.  Every Cremona and relabeling preserves b, so
     -b(w^-1 D, W_0) = -b(D, W): k_W = sum m_i w_i - 3 d d_W, with no word
-    to replay.  W must still be a member of the hyperplane orbit.
+    to replay.  W must be a DivisorRecord on D's s in weyl_divisors(s).
     """
-    if W not in weyl.divisor_orbit(_weyl_points(D)).witnesses:
-        raise ValueError(f"not in the hyperplane orbit: {W!r}")
+    if not (isinstance(W, weyl.DivisorRecord) and W.s == _weyl_points(D)
+            and W.d >= 1 and 5 * W.d - sum(W.m) == 1
+            and 3 * W.d * W.d - sum(x * x for x in W.m) == -1):
+        raise ValueError(f"not a Weyl hyperplane class: {W!r}")
     return _k_values(D, (W,), 3)[0]
 
 
@@ -219,9 +221,9 @@ def wdim(D, lines_only=False):
 
     chi plus the alternating corrections C(2+k,4) over lines and
     quartics, minus C(1+k,4) over Weyl planes, plus C(k,4) over Weyl
-    hyperplane classes.  The plane and hyperplane orbits are classified
-    for 6 <= s <= 8 only; lines_only=True drops their terms and works
-    for any s (that variant is what larger point counts use).
+    hyperplane classes.  The Weyl planes and hyperplane classes are
+    listed for 6 <= s <= 8 only; lines_only=True drops their terms and
+    works for any s (that variant is what larger point counts use).
     """
     total = chi(D) + h1_correction(D)
     if not lines_only:
@@ -233,10 +235,10 @@ def wdim(D, lines_only=False):
 
 
 def plane_id(T):
-    """Readable orbit label like S1(1,2,3) or S3(1,8)."""
+    """Readable Weyl plane label like S1(1,2,3) or S3(1,8)."""
     tag, idx = weyl.classify_surface(T)
     if tag == "Other":
-        raise weyl.NotAWeylPlaneError(f"not in the plane orbit: {T!r}")
+        raise weyl.NotAWeylPlaneError(f"not a Weyl plane: {T!r}")
     return f"{tag}({','.join(str(i) for i in idx)})"
 
 
@@ -265,9 +267,9 @@ def base_locus_report(D):
     """Scan the Weyl cycles for positive containment multiplicities.
 
     Lines and quartics come from positive_curves for every s.  For
-    6 <= s <= 8 the classified plane orbit is scanned in full.  With
-    fewer points no Cremona keeps a plane effective, so only the actual
-    planes S_1(ijk) are checked, directly.
+    6 <= s <= 8 every Weyl plane is scanned.  With fewer points no
+    Cremona keeps a plane effective, so only the actual planes S_1(ijk)
+    are checked, directly.
     """
     if not 1 <= D.s <= 8:
         raise ValueError("the base locus scan covers at most eight points")

@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import isqrt
 from operator import mul
 
 from .chow import int_tuple
@@ -707,15 +708,57 @@ def divisor_orbit(s=8):
 
 
 def weyl_lines(s=8):
-    return line_orbit(s).members
+    """The Weyl lines on s points, sorted: the classify_curve table the
+    templates build.  Equals line_orbit(s).members, order included."""
+    return tuple(sorted(_named_cycles(s)[0]))
 
 
 def weyl_planes(s=8):
-    return plane_orbit(s).members
+    """The Weyl planes on s points, sorted: the classify_surface table the
+    templates build.  Equals plane_orbit(s).members, order included."""
+    return tuple(sorted(_named_cycles(s)[1]))
 
 
+@lru_cache(maxsize=None)
 def weyl_divisors(s=8):
-    return divisor_orbit(s).members
+    """The Weyl hyperplane classes on s points, sorted: every integer
+    (d; m) with 3d^2 - sum m^2 = -1, 5d - sum m = 1 and d >= 1.  Equals
+    divisor_orbit(s).members, order included.  Cauchy-Schwarz bounds d
+    by (5d - 1)^2 <= s (3d^2 + 1), an interval from d = 1 for s <= 8."""
+    _check_point_count(s)
+    out, d = [], 1
+    while (5 * d - 1) ** 2 <= s * (3 * d * d + 1):
+        for m in _sorted_solutions(s, 5 * d - 1, 3 * d * d + 1):
+            out.extend(DivisorRecord(s, d, p) for p in _arrangements(m))
+        d += 1
+    return tuple(sorted(out))
+
+
+def _sorted_solutions(k, total, squares, cap=None):
+    # non-increasing k-tuples (entries <= cap) with the given sum and sum
+    # of squares; the first (largest) entry lies in [mean, isqrt(squares)]
+    if k == 1:
+        if (cap is None or total <= cap) and total * total == squares:
+            yield (total,)
+        return
+    if total * total > k * squares:  # Cauchy-Schwarz
+        return
+    top = isqrt(squares) if cap is None else min(cap, isqrt(squares))
+    for x in range(top, -(-total // k) - 1, -1):
+        for rest in _sorted_solutions(k - 1, total - x, squares - x * x, x):
+            yield (x,) + rest
+
+
+def _arrangements(values):
+    # the distinct orderings, without the k! tuples of permutations()
+    if not values:
+        yield ()
+        return
+    for x in sorted(set(values)):
+        rest = list(values)
+        rest.remove(x)
+        for tail in _arrangements(rest):
+            yield (x,) + tail
 
 
 # -- plane normalization and pairing -----------------------------------

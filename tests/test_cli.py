@@ -228,6 +228,17 @@ def test_chow_coefficients_must_be_integers(capsys, tmp_path):
         assert rc == 2 and out == "" and f"{bad} must be an integer" in err
 
 
+def test_chow_document_must_be_an_object(capsys, tmp_path):
+    # both used to crash with AttributeError and exit 1
+    b = chow_file(tmp_path / "b.json", "x4", {"H": 1})
+    for doc, msg in (([1], "expected a chow document"),
+                     ({"kind": "chow", "ring": "x4", "terms": [1]},
+                      "terms must be an object")):
+        a = write_json(tmp_path / "a.json", doc)
+        rc, out, err = run(capsys, "mul", "--ring", "x4", "--a", a, "--b", b)
+        assert rc == 2 and out == "" and msg in err
+
+
 # -- report --------------------------------------------------------------
 
 def test_report_lines_only_large_s(capsys, tmp_path):

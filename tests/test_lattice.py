@@ -9,13 +9,11 @@ are preserved by every Cremona and every relabeling:
 
 The fast k values and the plane pairing are these forms, so the forms
 are written out here again, independently of the library, and checked
-on random records.  The hyperplane orbit is also recovered from the
-lattice alone, as the solutions of two integer equations, and compared
-with the breadth-first orbit.
+on random records.  The library's hyperplane classes, the solutions of
+two integer equations, are compared with the breadth-first orbit.
 """
 
 from itertools import combinations
-from math import isqrt
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,50 +149,12 @@ def test_plane_curve_form_is_weyl_equivariant():
             assert gamma(weyl.apply_perm(R, tau)) == weyl.apply_perm(G, tau)
 
 
-def _sorted_solutions(k, total, squares, cap=None):
-    # non-increasing k-tuples of integers (entries <= cap) with the given
-    # sum and sum of squares; the first entry is the largest, so it is at
-    # least the mean and its square is at most the sum of squares
-    if k == 1:
-        if (cap is None or total <= cap) and total * total == squares:
-            yield (total,)
-        return
-    if total * total > k * squares:  # Cauchy-Schwarz
-        return
-    top = isqrt(squares) if cap is None else min(cap, isqrt(squares))
-    for x in range(top, -(-total // k) - 1, -1):
-        for rest in _sorted_solutions(k - 1, total - x, squares - x * x, x):
-            yield (x,) + rest
-
-
-def _arrangements(values):
-    if not values:
-        yield ()
-        return
-    for x in sorted(set(values)):
-        rest = list(values)
-        rest.remove(x)
-        for tail in _arrangements(rest):
-            yield (x,) + tail
-
-
-def lattice_hyperplanes(s):
-    """(d, m) with 3d^2 - sum m^2 = -1, 5d - sum m = 1 and d >= 1.
-
-    Cauchy-Schwarz gives (5d - 1)^2 <= s (3d^2 + 1), which bounds d for
-    s <= 8; the feasible d form an interval starting at 1.
-    """
-    out = set()
-    d = 1
-    while (5 * d - 1) ** 2 <= s * (3 * d * d + 1):
-        for m in _sorted_solutions(s, 5 * d - 1, 3 * d * d + 1):
-            out.update((d, p) for p in _arrangements(m))
-        d += 1
-    return out
-
-
 def test_hyperplane_orbit_is_the_lattice_solution_set():
+    # every BFS member solves b(W, W) = -1, 5d - sum m = 1, d >= 1, and
+    # weyl_divisors, the enumerated solution set, is the whole orbit
     for s, size in ((6, 15), (7, 57), (8, 2152)):
-        orbit = {(W.d, W.m) for W in weyl.weyl_divisors(s)}
+        orbit = weyl.divisor_orbit(s).members
         assert len(orbit) == size
-        assert lattice_hyperplanes(s) == orbit
+        for W in orbit:
+            assert b_form(W, W) == -1 and 5 * W.d - sum(W.m) == 1 and W.d >= 1
+        assert set(weyl.weyl_divisors(s)) == set(orbit)

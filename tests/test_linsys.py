@@ -127,8 +127,17 @@ def test_k_weyl_divisor_rows_and_errors():
         [-3, 0, 0, 0, 0, 1, 1, 1, 1]
     Z = F(8, 0, (0,) * 8)
     assert all(linsys.k_weyl_divisor(Z, W) == 0 for W in weyl.weyl_divisors(8))
-    with pytest.raises(ValueError):
-        linsys.k_weyl_divisor(Z, weyl.DivisorRecord(8, 1, (0,) * 8))
+    # membership is read off 3d^2 - sum m^2 = -1, 5d - sum m = 1, d >= 1
+    # on a DivisorRecord of D's s; every orbit member is accepted in
+    # test_k_forms_match_word_transports
+    for bad in (weyl.DivisorRecord(8, 1, (0,) * 8),
+                weyl.DivisorRecord(8, 0, (-1,) + (0,) * 7),  # E_1: d = 0
+                weyl.DivisorRecord(8, 1, (1,) * 5 + (0, 0, -1)),  # linear only
+                weyl.DivisorRecord(8, 1, (2,) + (0,) * 7),  # quadric only
+                weyl.CurveRecord(8, 1, (1, 1, 1, 1, 0, 0, 0, 0)),
+                weyl.hyperplane_record((1, 2, 3, 4), s=7)):
+        with pytest.raises(ValueError):
+            linsys.k_weyl_divisor(Z, bad)
 
 
 def test_k_forms_match_word_transports():
@@ -175,10 +184,11 @@ def test_h1_correction_zero_when_k_at_most_one():
 
 def test_line_quartic_scan_matches_line_orbit():
     # the pair/seven-subset scan against the Weyl line orbit, the way
-    # wdim and base_locus_report read the curves before the scan
+    # wdim and base_locus_report read the curves before the scan; the
+    # BFS members, not the template table, are the reference
     rng = random.Random(41)
     for s in weyl.POINT_COUNTS:
-        curves = weyl.weyl_lines(s)
+        curves = weyl.line_orbit(s).members
         assert len(curves) == comb(s, 2) + len(weyl.quartic_slots(s))
         for _ in range(40):
             D = F(s, rng.randint(0, 8), tuple(rng.randint(0, 6) for _ in range(s)))

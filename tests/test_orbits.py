@@ -91,18 +91,30 @@ def _nudged(rec):
 @pytest.mark.parametrize("s, n_curves, n_planes",
                          [(6, 15, 20), (7, 22, 42), (8, 36, 204)])
 def test_classification_table_is_exact(s, n_curves, n_planes):
+    # the BFS orbits are the reference, so the table is not checked
+    # against the weyl_lines/weyl_planes it serves
+    lines, planes_bfs = weyl.line_orbit(s).members, weyl.plane_orbit(s).members
     curves, planes = weyl._named_cycles(s)
     assert len(curves) == n_curves and len(planes) == n_planes
-    assert set(curves) == set(weyl.weyl_lines(s))
-    assert set(planes) == set(weyl.weyl_planes(s))
-    for members, classify in ((weyl.weyl_lines(s), weyl.classify_curve),
-                              (weyl.weyl_planes(s), weyl.classify_surface)):
+    assert set(curves) == set(lines)
+    assert set(planes) == set(planes_bfs)
+    for members, classify in ((lines, weyl.classify_curve),
+                              (planes_bfs, weyl.classify_surface)):
         for rec in members:
             tag, idx = classify(rec)
             assert _rebuild(tag, idx, s) == rec
             assert all(classify(r) == ("Other", ()) for r in _nudged(rec))
     # the two tables stay apart: a curve never reads as a plane
     assert weyl.classify_surface(weyl.line_record(1, 2, s=s)) == ("Other", ())
+
+
+@pytest.mark.parametrize("s", weyl.POINT_COUNTS)
+def test_closed_forms_equal_bfs_members(s):
+    # the library reads the orbits off templates and lattice equations;
+    # the breadth-first search must give the same tuples, in the same order
+    assert weyl.weyl_lines(s) == weyl.line_orbit(s).members
+    assert weyl.weyl_planes(s) == weyl.plane_orbit(s).members
+    assert weyl.weyl_divisors(s) == weyl.divisor_orbit(s).members
 
 
 def test_divisor_orbit_8_census_frozen():
