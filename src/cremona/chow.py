@@ -6,15 +6,20 @@ with multiplication stored as a symmetric table over basis cycles.  This
 module holds the ring-independent machinery: basis labels, sparse classes
 with exact integer coefficients, and table-driven bilinear products.
 
-Coefficients are plain Python ints but every canonicalisation step checks
-the 64-bit magnitude bound, so silent wraparound in downstream consumers
-(serialisers, foreign-function callers) cannot go unnoticed.  Everything
-is immutable after ring construction and safe to share between threads.
+Coefficients are plain Python ints held to the signed 64-bit magnitude
+bound |c| <= INT64_MAX, so silent wraparound in downstream consumers
+(serialisers, foreign-function callers) cannot go unnoticed.  Every class
+a function here returns has its final coefficients checked against the
+bound; ``linear_map`` also checks each product c*v of a coefficient with
+an image coefficient and each running sum, as the term-by-term fold
+``scale``/``add`` did.  The products inside ``mul`` are not checked, only
+its result.  Everything is immutable after ring construction and safe to
+share between threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 INT64_MAX = 2**63 - 1
 
@@ -64,12 +69,26 @@ class BasisElement:
     kind: str
     idx: tuple[int, ...] = ()
     sub: int = -1
+    # computed once: every dict probe on a class or the product table
+    # hashes its keys
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if list(self.idx) != sorted(set(self.idx)):
             raise ValueError(f"index set must be strictly increasing: {self.idx!r}")
         if self.sub != -1 and self.sub not in self.idx:
             raise ValueError(f"sub-index {self.sub} not in {self.idx!r}")
+        object.__setattr__(self, "_hash", hash(
+            (self.ring, self.grade, self.kind, self.idx, self.sub)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt on unpickling, so the stored hash follows that process's
+        # string hashing
+        return (BasisElement, (self.ring, self.grade, self.kind, self.idx,
+                               self.sub))
 
     @property
     def name(self) -> str:
@@ -190,6 +209,8 @@ class ChowRing:
         self.basis_by_grade: dict[int, list[BasisElement]] = {
             g: [] for g in range(dim + 1)}
         self._lookup: dict[tuple, BasisElement] = {}
+        self._members: dict[BasisElement, BasisElement] = {}
+        # (a, b) and (b, a) share one entry, so lookups need no ordering
         self._table: dict[tuple, dict] = {}
         self._derived: dict[tuple, "ChowClass"] = {}
         self._final = False
@@ -203,17 +224,18 @@ class ChowRing:
         if key in self._lookup:
             raise ValueError(f"duplicate basis element {elem.name}")
         self._lookup[key] = elem
+        self._members[elem] = elem
         self.basis_by_grade[grade].append(elem)
         return elem
 
     def set_product(self, a: BasisElement, b: BasisElement, terms):
         """Store a*b (and b*a).  ``terms`` is a list of (elem, coeff)."""
         assert not self._final
-        key = (a, b) if a <= b else (b, a)
         acc = {}
         for elem, c in terms:
             acc[elem] = acc.get(elem, 0) + c
-        self._table[key] = {e: c for e, c in acc.items() if c != 0}
+        self._table[a, b] = self._table[b, a] = {
+            e: c for e, c in acc.items() if c != 0}
 
     def add_derived(self, kind, idx, sub, cls: ChowClass):
         assert not self._final
@@ -224,8 +246,7 @@ class ChowRing:
             for gb in range(ga, self.dim + 1 - ga):
                 for a in self.basis_by_grade[ga]:
                     for b in self.basis_by_grade[gb]:
-                        key = (a, b) if a <= b else (b, a)
-                        if key not in self._table:
+                        if (a, b) not in self._table:
                             raise MissingTableEntryError(
                                 f"no product stored for {a.name} * {b.name}")
         self._final = True
@@ -289,9 +310,10 @@ class ChowRing:
             if elem.ring != self.ring_id:
                 raise MixedGradeError(
                     f"{elem.name} belongs to {elem.ring}, not {self.ring_id}")
-            if self._lookup.get((elem.kind, elem.idx, elem.sub)) != elem:
+            own = self._members.get(elem)
+            if own is None:
                 raise UnknownBasisError(f"{elem.name} not in {self.ring_id} basis")
-            return elem
+            return own
         if isinstance(elem, str):
             kind, idx, sub = parse_name(elem)
             return self.element(kind, idx, sub)
@@ -313,12 +335,12 @@ class ChowRing:
             return scale(y, x.coeff(self.one))
         if y.grade == 0:
             return scale(x, y.coeff(self.one))
+        table = self._table
         acc = {}
         for ea, ca in x.coeffs.items():
             for eb, cb in y.coeffs.items():
-                key = (ea, eb) if ea <= eb else (eb, ea)
                 try:
-                    entry = self._table[key]
+                    entry = table[ea, eb]
                 except KeyError:
                     raise MissingTableEntryError(
                         f"no product stored for {ea.name} * {eb.name}") from None
@@ -406,16 +428,36 @@ def linear_map(x: ChowClass, images: dict) -> ChowClass:
     """Apply a basis-indexed linear map to a class.
 
     ``images[elem]`` is the image class of each basis cycle; all images of
-    the cycles present in ``x`` must share one grade (usually x.grade, but
-    graded automorphisms are the intended use so it always is here).
+    the cycles present in ``x`` must share one ring and grade (usually
+    x.grade, but graded automorphisms are the intended use so it always is
+    here).  The sum of c*images[e] is accumulated in one dict.  Each
+    product c*v and each running sum is held to the 64-bit bound, so this
+    raises CoefficientOverflowError exactly where folding ``add`` over
+    ``scale(images[e], c)`` would.
     """
-    out = None
+    ring = grade = None
+    acc = {}
     for e, c in x.coeffs.items():
-        img = scale(images[e], c)
-        out = img if out is None else add(out, img)
-    if out is None:
+        img = images[e]
+        if img.ring is not ring or img.grade != grade:
+            if ring is not None:
+                scale(img, c)  # the fold checked c*v before the grades
+                raise MixedGradeError(
+                    f"cannot add grade {grade} and grade {img.grade} classes")
+            ring, grade = img.ring, img.grade
+        for f, v in img.coeffs.items():
+            cv = c * v
+            if abs(cv) > INT64_MAX:
+                raise CoefficientOverflowError(
+                    f"coefficient {cv} of {f.name} exceeds 64-bit range")
+            total = acc.get(f, 0) + cv
+            if abs(total) > INT64_MAX:
+                raise CoefficientOverflowError(
+                    f"coefficient {total} of {f.name} exceeds 64-bit range")
+            acc[f] = total
+    if ring is None:
         return x.ring.zero(x.grade)
-    return out
+    return _canonical(ring, grade, acc)
 
 
 def int_tuple(values, n, what):
@@ -432,3 +474,35 @@ def int_tuple(values, n, what):
         if type(x) is not int:
             raise ValueError(f"{what} must hold integers, got {x!r}")
     return t
+
+
+# -- records: fixed-length integer views of the classes of one grade ------
+
+def record_layout(ring, lead, *fields):
+    """Where a record's entries sit in ring, looked up once per record type.
+
+    A record is (d, field, field, ...): d is the coefficient of the cycle
+    named by the symbol ``lead``, and each field, given as (sign, symbols),
+    lists sign * coefficient of the cycles those symbols name, in order.
+    A symbol is a (kind[, idx[, sub]]) tuple for ``ChowRing.element``.
+    """
+    return (ring.element(*lead),) + tuple(
+        (sign, tuple(ring.element(*sym) for sym in syms))
+        for sign, syms in fields)
+
+
+def record_terms(layout, d, *fields):
+    """(cycle, coefficient) pairs of the record (d, *fields)."""
+    lead, *rest = layout
+    terms = [(lead, d)]
+    for (sign, elems), values in zip(rest, fields):
+        terms += zip(elems, [sign * v for v in values])
+    return terms
+
+
+def record_entries(x, layout):
+    """(d, *fields) of the record whose class is x."""
+    get = x.coeffs.get
+    lead, *rest = layout
+    return (get(lead, 0),) + tuple(
+        tuple(sign * get(e, 0) for e in elems) for sign, elems in rest)

@@ -400,8 +400,10 @@ def cmd_classify(args):
         tag, idx = weyl.classify_surface(rec)
     elif isinstance(rec, weyl.CurveRecord):
         tag, idx = weyl.classify_curve(rec)
-    else:
+    elif weyl.is_weyl_divisor(rec):
         tag, idx = weyl.divisor_type(rec), ()
+    else:
+        tag, idx = "Other", ()
     if args.json:
         print(json.dumps({"tag": tag, "idx": list(idx)}))
     else:

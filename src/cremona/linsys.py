@@ -155,9 +155,7 @@ def k_weyl_divisor(D, W):
     -b(w^-1 D, W_0) = -b(D, W): k_W = sum m_i w_i - 3 d d_W, with no word
     to replay.  W must be a DivisorRecord on D's s in weyl_divisors(s).
     """
-    if not (isinstance(W, weyl.DivisorRecord) and W.s == _weyl_points(D)
-            and W.d >= 1 and 5 * W.d - sum(W.m) == 1
-            and 3 * W.d * W.d - sum(x * x for x in W.m) == -1):
+    if not (weyl.is_weyl_divisor(W) and W.s == _weyl_points(D)):
         raise ValueError(f"not a Weyl hyperplane class: {W!r}")
     return _k_values(D, (W,), 3)[0]
 

@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .chow import ChowClass, ChowRing, WrongGradeError, int_tuple, linear_map
+from .chow import (ChowClass, ChowRing, WrongGradeError, int_tuple,
+                   linear_map, record_entries, record_layout, record_terms)
 
 POINTS = tuple(range(4))
 PAIRS = tuple(combinations(POINTS, 2))
@@ -153,36 +154,32 @@ class P3Curve(_P3Record):
     """Curve record (d; m_0..m_3; n over PAIRS order)."""
 
 
+_DIVISOR_LAYOUT = record_layout(RING, ("H",),
+                                (-1, [("E", (i,)) for i in POINTS]),
+                                (-1, [("E", q) for q in PAIRS]))
+_CURVE_LAYOUT = record_layout(RING, ("l",),
+                              (-1, [("l", (i,)) for i in POINTS]),
+                              (-1, [("f", q) for q in PAIRS]))
+
+
 def divisor_class(D: P3Divisor) -> ChowClass:
-    terms = [(("H", ()), D.d)]
-    terms += [(("E", (i,)), -D.m[i]) for i in POINTS]
-    terms += [(("E", q), -D.nl[a]) for a, q in enumerate(PAIRS)]
-    return RING.make_class(1, terms)
+    return RING.make_class(1, record_terms(_DIVISOR_LAYOUT, D.d, D.m, D.nl))
 
 
 def divisor_from_class(x: ChowClass) -> P3Divisor:
     if x.ring is not RING or x.grade != 1:
         raise WrongGradeError("divisor records live in grade 1 of the P^3 ring")
-    d = x.coeff(RING.element("H"))
-    m = tuple(-x.coeff(RING.element("E", (i,))) for i in POINTS)
-    nl = tuple(-x.coeff(RING.element("E", q)) for q in PAIRS)
-    return P3Divisor(d, m, nl)
+    return P3Divisor(*record_entries(x, _DIVISOR_LAYOUT))
 
 
 def curve_class(C: P3Curve) -> ChowClass:
-    terms = [(("l", ()), C.d)]
-    terms += [(("l", (i,)), -C.m[i]) for i in POINTS]
-    terms += [(("f", q), -C.nl[a]) for a, q in enumerate(PAIRS)]
-    return RING.make_class(2, terms)
+    return RING.make_class(2, record_terms(_CURVE_LAYOUT, C.d, C.m, C.nl))
 
 
 def curve_from_class(x: ChowClass) -> P3Curve:
     if x.ring is not RING or x.grade != 2:
         raise WrongGradeError("curve records live in grade 2 of the P^3 ring")
-    d = x.coeff(RING.element("l"))
-    m = tuple(-x.coeff(RING.element("l", (i,))) for i in POINTS)
-    nl = tuple(-x.coeff(RING.element("f", q)) for q in PAIRS)
-    return P3Curve(d, m, nl)
+    return P3Curve(*record_entries(x, _CURVE_LAYOUT))
 
 
 def cremona_divisor(D: P3Divisor) -> P3Divisor:

@@ -36,7 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .chow import ChowClass, ChowRing, WrongGradeError, int_tuple, linear_map
+from .chow import (ChowClass, ChowRing, WrongGradeError, int_tuple,
+                   linear_map, record_entries, record_layout, record_terms)
 
 POINTS = tuple(range(5))
 PAIRS = tuple(combinations(POINTS, 2))
@@ -404,65 +405,53 @@ class P4Surface:
         object.__setattr__(self, "np", int_tuple(self.np, 30, "np"))
 
 
+_DIVISOR_LAYOUT = record_layout(RING, ("H",),
+                                (-1, [("E", (i,)) for i in POINTS]),
+                                (-1, [("E", q) for q in PAIRS]),
+                                (-1, [("E", t) for t in TRIPLES]))
+_CURVE_LAYOUT = record_layout(RING, ("l",),
+                              (-1, [("l", (i,)) for i in POINTS]),
+                              (-1, [("l", q) for q in PAIRS]),
+                              (-1, [("f", t) for t in TRIPLES]))
+_SURFACE_LAYOUT = record_layout(RING, ("S",),
+                                (-1, [("S", (i,)) for i in POINTS]),
+                                (-1, [("P", q) for q in PAIRS]),
+                                (-1, [("F", q) for q in PAIRS]),
+                                (-1, [("H", t) for t in TRIPLES]),
+                                (1, [("V", t, w) for t, w in V_SLOTS]))
+
+
 def divisor_class(D: P4Divisor) -> ChowClass:
-    terms = [(("H", ()), D.d)]
-    terms += [(("E", (i,)), -D.m[i]) for i in POINTS]
-    terms += [(("E", q), -D.ml[a]) for a, q in enumerate(PAIRS)]
-    terms += [(("E", t), -D.mp[a]) for a, t in enumerate(TRIPLES)]
-    return RING.make_class(1, terms)
+    return RING.make_class(
+        1, record_terms(_DIVISOR_LAYOUT, D.d, D.m, D.ml, D.mp))
 
 
 def divisor_from_class(x: ChowClass) -> P4Divisor:
     if x.ring is not RING or x.grade != 1:
         raise WrongGradeError("divisor records live in grade 1 of the P^4 ring")
-    el = RING.element
-    return P4Divisor(
-        x.coeff(el("H")),
-        tuple(-x.coeff(el("E", (i,))) for i in POINTS),
-        tuple(-x.coeff(el("E", q)) for q in PAIRS),
-        tuple(-x.coeff(el("E", t)) for t in TRIPLES))
+    return P4Divisor(*record_entries(x, _DIVISOR_LAYOUT))
 
 
 def curve_class(C: P4Curve) -> ChowClass:
-    terms = [(("l", ()), C.d)]
-    terms += [(("l", (i,)), -C.m[i]) for i in POINTS]
-    terms += [(("l", q), -C.ml[a]) for a, q in enumerate(PAIRS)]
-    terms += [(("f", t), -C.mp[a]) for a, t in enumerate(TRIPLES)]
-    return RING.make_class(3, terms)
+    return RING.make_class(
+        3, record_terms(_CURVE_LAYOUT, C.d, C.m, C.ml, C.mp))
 
 
 def curve_from_class(x: ChowClass) -> P4Curve:
     if x.ring is not RING or x.grade != 3:
         raise WrongGradeError("curve records live in grade 3 of the P^4 ring")
-    el = RING.element
-    return P4Curve(
-        x.coeff(el("l")),
-        tuple(-x.coeff(el("l", (i,))) for i in POINTS),
-        tuple(-x.coeff(el("l", q)) for q in PAIRS),
-        tuple(-x.coeff(el("f", t)) for t in TRIPLES))
+    return P4Curve(*record_entries(x, _CURVE_LAYOUT))
 
 
 def surface_class(T: P4Surface) -> ChowClass:
-    terms = [(("S", ()), T.d)]
-    terms += [(("S", (i,)), -T.m[i]) for i in POINTS]
-    terms += [(("P", q), -T.ml[a]) for a, q in enumerate(PAIRS)]
-    terms += [(("F", q), -T.nl[a]) for a, q in enumerate(PAIRS)]
-    terms += [(("H", t), -T.mp[a]) for a, t in enumerate(TRIPLES)]
-    terms += [(("V", t, w), T.np[a]) for a, (t, w) in enumerate(V_SLOTS)]
-    return RING.make_class(2, terms)
+    return RING.make_class(2, record_terms(
+        _SURFACE_LAYOUT, T.d, T.m, T.ml, T.nl, T.mp, T.np))
 
 
 def surface_from_class(x: ChowClass) -> P4Surface:
     if x.ring is not RING or x.grade != 2:
         raise WrongGradeError("surface records live in grade 2 of the P^4 ring")
-    el = RING.element
-    return P4Surface(
-        x.coeff(el("S")),
-        tuple(-x.coeff(el("S", (i,))) for i in POINTS),
-        tuple(-x.coeff(el("P", q)) for q in PAIRS),
-        tuple(-x.coeff(el("F", q)) for q in PAIRS),
-        tuple(-x.coeff(el("H", t)) for t in TRIPLES),
-        tuple(x.coeff(el("V", t, w)) for t, w in V_SLOTS))
+    return P4Surface(*record_entries(x, _SURFACE_LAYOUT))
 
 
 def cremona_divisor(D: P4Divisor) -> P4Divisor:

@@ -719,6 +719,15 @@ def weyl_planes(s=8):
     return tuple(sorted(_named_cycles(s)[1]))
 
 
+def is_weyl_divisor(rec):
+    """Whether rec is a Weyl hyperplane class: a DivisorRecord with
+    3d^2 - sum m^2 = -1, 5d - sum m = 1 and d >= 1, a member of
+    weyl_divisors(rec.s)."""
+    return (isinstance(rec, DivisorRecord) and rec.d >= 1
+            and 5 * rec.d - sum(rec.m) == 1
+            and 3 * rec.d * rec.d - sum(x * x for x in rec.m) == -1)
+
+
 @lru_cache(maxsize=None)
 def weyl_divisors(s=8):
     """The Weyl hyperplane classes on s points, sorted: every integer

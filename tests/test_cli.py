@@ -360,6 +360,18 @@ def test_classify(capsys, tmp_path):
     assert rc == 0 and json.loads(out) == {"tag": "S15", "idx": [2]}
 
 
+def test_classify_divisor_outside_the_orbit_is_other(capsys, tmp_path):
+    # (1; 2, 0^7) has 5d - sum m = 3: not a Weyl hyperplane class
+    for m, want in (((1, 1, 1, 1, 0, 0, 0, 0), "(1;11110000)"),
+                    ((2, 0, 0, 0, 0, 0, 0, 0), "Other")):
+        src = record_file(tmp_path / "d.json", weyl.DivisorRecord(8, 1, m))
+        rc, out, _ = run(capsys, "classify", "--kind", "divisor", "--in", src)
+        assert rc == 0 and out == want + "\n"
+        rc, out, _ = run(capsys, "classify", "--kind", "divisor", "--in", src,
+                         "--json")
+        assert rc == 0 and json.loads(out) == {"tag": want, "idx": []}
+
+
 # -- serialization round trips -------------------------------------------
 
 def test_triangle_roundtrip():
