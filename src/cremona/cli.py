@@ -111,17 +111,26 @@ def surface_from_triangle(text, s=8):
         raise CliError(str(e)) from None
 
 
-def load_record(path, kind=None, s=8):
+def read_file(path):
+    """The text of an input file; an unreadable one is a CliError."""
     try:
-        text = open(path).read()
+        with open(path) as fh:
+            return fh.read()
     except OSError as e:
         raise CliError(str(e)) from None
+
+
+def parse_json(text, path):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise CliError(f"{path}: {e}") from None
+
+
+def load_record(path, kind=None, s=8):
+    text = read_file(path)
     if text.lstrip().startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise CliError(f"{path}: {e}") from None
-        rec = record_from_json(doc)
+        rec = record_from_json(parse_json(text, path))
     else:
         rec = surface_from_triangle(text, s=s)
     if kind is not None and record_kind(rec) != kind:
@@ -189,13 +198,7 @@ def chow_to_json(x, ring_name):
 
 
 def load_chow(path, ring_name):
-    try:
-        doc = json.loads(open(path).read())
-    except OSError as e:
-        raise CliError(str(e)) from None
-    except json.JSONDecodeError as e:
-        raise CliError(f"{path}: {e}") from None
-    return chow_from_json(doc, ring_name)
+    return chow_from_json(parse_json(read_file(path), path), ring_name)
 
 
 # -- orbit command ------------------------------------------------------
@@ -230,9 +233,12 @@ def write_cache(path, result):
                          separators=(",", ":"))
         lines.append(f"{weyl.record_tag(rec)}\t{doc}")
     lines.sort()
-    with open(path, "w") as fh:
-        fh.write(CACHE_HEADER + "\n")
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write(CACHE_HEADER + "\n")
+            fh.write("\n".join(lines) + "\n")
+    except OSError as e:
+        raise CliError(str(e)) from None
 
 
 def cmd_orbit(args):
@@ -328,12 +334,7 @@ def _table(parts):
 
 
 def cmd_report(args):
-    try:
-        doc = json.loads(open(args.infile).read())
-    except OSError as e:
-        raise CliError(str(e)) from None
-    except json.JSONDecodeError as e:
-        raise CliError(f"{args.infile}: {e}") from None
+    doc = parse_json(read_file(args.infile), args.infile)
     if not isinstance(doc, dict) or doc.get("kind") != "divisor":
         raise CliError("the report wants a divisor record")
     try:
@@ -343,50 +344,44 @@ def cmd_report(args):
     except (KeyError, ValueError) as e:
         raise CliError(f"bad record document: {e}") from None
 
+    rep = linsys.base_locus_report(D)
+    # chi + h1corr is the lines-only wdim; only the full one needs wdim
     full = D.s in weyl.POINT_COUNTS and not args.lines_only
-    c = linsys.chi(D)
-    h = linsys.h1_correction(D)
-    w = linsys.wdim(D, lines_only=not full)
-
-    if D.s <= 8:
-        rep = linsys.base_locus_report(D)
-        lines, quartics, planes = rep.lines, rep.quartics, rep.planes
-        conflicts, deep, hint = (rep.pairwise_conflicts, rep.deep_curves,
-                                 rep.empties_hint)
-    else:
-        lines, quartics, deep = linsys.positive_curves(D)
-        planes, conflicts, hint = {}, (), False
+    w = linsys.wdim(D) if full else rep.chi + rep.h1corr
 
     if args.json:
         print(json.dumps({
-            "chi": c, "wdim": w, "h1corr": h, "lines_only": not full,
-            "lines": {f"{i},{j}": k for (i, j), k in lines.items()},
+            "chi": rep.chi, "wdim": w, "h1corr": rep.h1corr,
+            "lines_only": not full,
+            "lines": {f"{i},{j}": k for (i, j), k in rep.lines.items()},
             "quartics": {",".join(str(x) for x in (k if isinstance(k, tuple)
                                                    else (k,))): v
-                         for k, v in quartics.items()},
-            "planes": dict(planes),
-            "conflicts": [list(p) for p in conflicts],
-            "deep": [[tag, list(idx), k] for tag, idx, k in deep],
-            "empties_hint": hint,
+                         for k, v in rep.quartics.items()},
+            "planes": rep.planes,
+            "conflicts": [list(p) for p in rep.pairwise_conflicts],
+            "deep": [[tag, list(idx), k] for tag, idx, k in rep.deep_curves],
+            "empties_hint": rep.empties_hint,
         }))
         return EX_OK
 
     label = "wdim" if full else "wdim(lines-only)"
-    print(f"chi={c} {label}={w} h1corr={h}")
+    print(f"chi={rep.chi} {label}={w} h1corr={rep.h1corr}")
     print("lines: " + _table([f"{_line_label(i, j)}:{k}"
-                              for (i, j), k in sorted(lines.items())]))
+                              for (i, j), k in sorted(rep.lines.items())]))
     print("quartics: " + _table(
         [f"Q_{k}:{v}" if not isinstance(k, tuple)
          else "Q(" + ",".join(str(x) for x in k) + f"):{v}"
-         for k, v in sorted(quartics.items())]))
+         for k, v in sorted(rep.quartics.items())]))
     if D.s <= 8:
-        print("planes: " + _table([f"{t}:{k}" for t, k in sorted(planes.items())]))
-        print("conflicts: " + _table([f"{a}~{b}" for a, b in conflicts]))
-    if deep:
+        print("planes: " + _table([f"{t}:{k}"
+                                   for t, k in sorted(rep.planes.items())]))
+        print("conflicts: " + _table([f"{a}~{b}"
+                                      for a, b in rep.pairwise_conflicts]))
+    if rep.deep_curves:
         print("deep: " + " ".join(
             f"{tag}({','.join(str(x) for x in idx)}):{k}"
-            for tag, idx, k in deep))
-    if hint:
+            for tag, idx, k in rep.deep_curves))
+    if rep.empties_hint:
         print("note: meeting planes in the base locus; the system is "
               "likely empty")
     return EX_OK

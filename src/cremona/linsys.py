@@ -23,7 +23,7 @@ def _c4(a):
 
 # the line/quartic scan refuses more seven point subsets than this, so
 # s <= 23; cremona report at s = 23 with every quartic listed takes about
-# 2 s (three scans plus the printing), while s = 40 would take minutes
+# 1.5 s (one scan plus the printing), while s = 40 would take minutes
 MAX_QUARTIC_SUBSETS = 250_000
 
 
@@ -183,27 +183,6 @@ def _curve_cycles(D):
             yield "quartic", sub, sum(ms) - 4 * d
 
 
-def positive_curves(D):
-    """The lines and quartics with k > 0, and the deep ones (k >= 2).
-
-    Returns (lines, quartics, deep) as in BaseLocusReport, for any s:
-    lines maps (i, j) to k, quartics maps the Q_k label k (s <= 8) or the
-    seven labels (s > 8) to k, deep is the sorted tuple of (tag, idx, k).
-    More than MAX_QUARTIC_SUBSETS seven point subsets raise ValueError.
-    """
-    lines, quartics, deep = {}, {}, []
-    for tag, idx, k in _curve_cycles(D):
-        if k <= 0:
-            continue
-        if tag == "line":
-            lines[idx] = k
-        else:
-            quartics[idx[0] if len(idx) == 1 else idx] = k
-        if k >= 2:
-            deep.append((tag, idx, k))
-    return lines, quartics, tuple(sorted(deep))
-
-
 def h1_correction(D):
     """Sum of C(2 + k_C, 4) over the one dimensional Weyl cycles.
 
@@ -244,13 +223,16 @@ def plane_id(T):
 class BaseLocusReport:
     """Positive containment multiplicities of Weyl cycles in Bs|D|.
 
-    lines maps a pair (i, j) to k_L > 0, quartics maps k to k_Q > 0, and
-    planes maps a plane_id string to its multiplicity.  Any two listed
-    planes are cross-checked with the pairing: planes that meet cannot
-    both sit in the base locus of an effective class, so such pairs are
-    recorded in pairwise_conflicts and empties_hint is set.  Weyl lines
-    with D.C <= -2 land in deep_curves (an effective class is expected
-    to meet every Weyl line at least in -1).
+    lines maps a pair (i, j) to k_L > 0, quartics maps the Q_k label k
+    (s <= 8) or the seven labels (s > 8) to k_Q > 0, and planes maps a
+    plane_id string to its multiplicity.  Any two listed planes are
+    cross-checked with the pairing: planes that meet cannot both sit in
+    the base locus of an effective class, so such pairs are recorded in
+    pairwise_conflicts and empties_hint is set.  Lines and quartics with
+    D.C <= -2 land in deep_curves, the sorted (tag, idx, k) (an effective
+    class is expected to meet every Weyl line at least in -1).  chi is
+    chi(D) and h1corr is h1_correction(D), so chi + h1corr is
+    wdim(D, lines_only=True).
     """
 
     lines: dict
@@ -259,19 +241,32 @@ class BaseLocusReport:
     pairwise_conflicts: tuple
     empties_hint: bool
     deep_curves: tuple
+    chi: int
+    h1corr: int
 
 
 def base_locus_report(D):
     """Scan the Weyl cycles for positive containment multiplicities.
 
-    Lines and quartics come from positive_curves for every s.  For
-    6 <= s <= 8 every Weyl plane is scanned.  With fewer points no
-    Cremona keeps a plane effective, so only the actual planes S_1(ijk)
-    are checked, directly.
+    One pass over the lines and quartics serves every s the scan covers
+    (ValueError past MAX_QUARTIC_SUBSETS seven point subsets); h1corr
+    sums C(2 + k, 4) over the deep curves, the only ones with a nonzero
+    term.  For 6 <= s <= 8 every Weyl plane is scanned.  With fewer
+    points no Cremona keeps a plane effective, so only the actual planes
+    S_1(ijk) are checked, directly.  Past eight points no planes are
+    listed.
     """
-    if not 1 <= D.s <= 8:
-        raise ValueError("the base locus scan covers at most eight points")
-    lines, quartics, deep = positive_curves(D)
+    lines, quartics, deep = {}, {}, []
+    for tag, idx, k in _curve_cycles(D):
+        if k <= 0:
+            continue
+        if tag == "line":
+            lines[idx] = k
+        else:
+            quartics[idx[0] if len(idx) == 1 else idx] = k
+        if k >= 2:
+            deep.append((tag, idx, k))
+    deep.sort()
     planes, conflicts = {}, []
     if D.s in weyl.POINT_COUNTS:
         gammas = _plane_curves(D.s)
@@ -284,7 +279,7 @@ def base_locus_report(D):
         for (a, A), (b, B) in combinations(listed, 2):
             if weyl.surface_form(A, B):
                 conflicts.append((a, b) if a < b else (b, a))
-    else:
+    elif D.s < 6:
         for tri in combinations(range(1, D.s + 1), 3):
             k = sum(D.m[i - 1] for i in tri) - 2 * D.d
             if k > 0:
@@ -296,4 +291,5 @@ def base_locus_report(D):
     return BaseLocusReport(lines=lines, quartics=quartics, planes=planes,
                            pairwise_conflicts=tuple(conflicts),
                            empties_hint=bool(conflicts),
-                           deep_curves=deep)
+                           deep_curves=tuple(deep), chi=chi(D),
+                           h1corr=sum(_c4(2 + k) for _, _, k in deep))

@@ -531,34 +531,6 @@ def cremona_surface(T: P4Surface) -> P4Surface:
                      tuple(mp2), tuple(np2))
 
 
-# multiplicity-only transforms on plain (d, m) and (d, m, ml) tuples;
-# these are the restrictions of the record maps above to the spans that
-# the Cremona action preserves
-
-def reduced_divisor(d, m):
-    tot = sum(m)
-    return (4 * d - tot, tuple(3 * d - (tot - mi) for mi in m))
-
-
-def reduced_curve(d, m):
-    tot = sum(m)
-    return (4 * d - 3 * tot, tuple(d - (tot - mi) for mi in m))
-
-
-def reduced_surface(d, m, ml):
-    d2 = 6 * d - 3 * sum(m) + sum(ml)
-    m2 = []
-    for i in POINTS:
-        m2.append(3 * d - 2 * (sum(m) - m[i])
-                  + sum(ml[a] for a, q in enumerate(PAIRS) if i not in q))
-    ml2 = []
-    for q in PAIRS:
-        t = pair_complement(q)
-        ml2.append(d - sum(m[r] for r in t)
-                   + sum(ml[PAIR_SLOT[rr]] for rr in _pairs_within(t)))
-    return (d2, tuple(m2), tuple(ml2))
-
-
 def normalize(terms) -> ChowClass:
     """Expand a symbolic combination (G, Lam, M, h, l_ijk, e allowed)."""
     return RING.normalize(terms)

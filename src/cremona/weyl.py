@@ -612,9 +612,18 @@ def _word_of_perm(perm):
 
 
 def _orbit_cap(budget):
+    # a budget argument is a real int, like every record entry; the
+    # environment override is text and must spell one
     if budget is not None:
-        return int(budget)
-    return int(os.environ.get("CREMONA_ORBIT_BUDGET", DEFAULT_ORBIT_BUDGET))
+        return int_tuple((budget,), 1, "budget")[0]
+    env = os.environ.get("CREMONA_ORBIT_BUDGET")
+    if env is None:
+        return DEFAULT_ORBIT_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"CREMONA_ORBIT_BUDGET must be an integer, "
+                         f"got {env!r}") from None
 
 
 def orbit(seed, budget=None):
@@ -624,9 +633,10 @@ def orbit(seed, budget=None):
     the labeled members are then filled in by relabeling each canonical
     class.  Images of nonpositive degree are set aside as contracted and
     not expanded.  Witness words are shortest-found, with deterministic
-    ordering, so repeated runs agree.  budget caps the member count
-    (default 10**6, or the CREMONA_ORBIT_BUDGET environment variable) and
-    a blowout raises OrbitBudgetExceededError.
+    ordering, so repeated runs agree.  budget, an int, caps the member
+    count (default 10**6, or the integer in the CREMONA_ORBIT_BUDGET
+    environment variable) and a blowout raises OrbitBudgetExceededError;
+    a budget that is not an integer raises ValueError.
     """
     cap = _orbit_cap(budget)
     if seed.d <= 0:

@@ -202,11 +202,14 @@ def test_criterion_09():
     assert time.time() - t0 < 60
 
 
-@criterion(10, "record level five point Cremonas match the reduced class maps")
+@criterion(10, "record level five point Cremonas match the P^4 record maps")
 def test_criterion_10():
+    # on records with no higher strata the lifted involution's (d, m[, ml])
+    # part is the five point Cremona of the Weyl records
     rng = random.Random(77)
     centers = (1, 2, 3, 4, 5)
     cpairs = [q for q in weyl.PAIRS8 if max(q) <= 5]
+    Z10 = (0,) * 10
     for _ in range(10 ** 4):
         kind = rng.randrange(3)
         d = rng.randint(-2, 2)
@@ -214,12 +217,13 @@ def test_criterion_10():
         m8 = m5 + (0, 0, 0)
         if kind == 0:
             img = weyl.cremona5_divisor(weyl.DivisorRecord(8, d, m8), centers)
-            d2, m2 = p4.reduced_divisor(d, m5)
-            assert (img.d, img.m) == (d2, m2 + (0, 0, 0))
+            full = p4.cremona_divisor(p4.P4Divisor(d, m5, Z10, Z10))
+            assert (img.d, img.m) == (full.d, full.m + (0, 0, 0))
         elif kind == 1:
             img = weyl.cremona5_curve(weyl.CurveRecord(8, d, m8), centers)
-            d2, m2 = p4.reduced_curve(d, m5)
-            assert (img.d, img.m) == (d2, m2 + (0, 0, 0))
+            full = p4.cremona_curve(p4.P4Curve(d, m5, Z10, Z10))
+            assert (img.d, img.m) == (full.d, full.m + (0, 0, 0))
+            assert full.ml == full.mp == Z10
         else:
             ml10 = tuple(rng.randint(-2, 2) for _ in range(10))
             mline = [0] * 28
@@ -227,9 +231,11 @@ def test_criterion_10():
                 mline[weyl.PAIR_POS[q]] = v
             rec = weyl.SurfaceRecord(8, d, m8, (0,) * 8, tuple(mline))
             img = weyl.cremona5_surface(rec, centers)
-            d2, m2, ml2 = p4.reduced_surface(d, m5, ml10)
-            assert (img.d, img.m) == (d2, m2 + (0, 0, 0))
-            assert tuple(img.mline[weyl.PAIR_POS[q]] for q in cpairs) == ml2
+            full = p4.cremona_surface(
+                p4.P4Surface(d, m5, ml10, Z10, Z10, (0,) * 30))
+            assert (img.d, img.m) == (full.d, full.m + (0, 0, 0))
+            assert tuple(img.mline[weyl.PAIR_POS[q]] for q in cpairs) == full.ml
             assert img.n == (0,) * 8
+            assert full.nl == full.mp == Z10 and full.np == (0,) * 30
             assert all(v == 0 for q, v in zip(weyl.PAIRS8, img.mline)
                        if max(q) > 5)

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from cremona import cli, weyl
+from cremona import cli, linsys, weyl
 
 
 def run(capsys, *argv):
@@ -93,6 +93,23 @@ def test_orbit_budget_env(capsys, monkeypatch):
     rc, _, err = run(capsys, "orbit", "--kind", "plane")
     assert rc == 3
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["1.5", "ten", ""])
+def test_orbit_budget_env_must_be_an_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("CREMONA_ORBIT_BUDGET", value)
+    rc, out, err = run(capsys, "orbit", "--kind", "line")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "CREMONA_ORBIT_BUDGET" in err
+
+
+def test_orbit_cache_unwritable_path(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    rc, out, err = run(capsys, "orbit", "--kind", "line", "--s", "6",
+                       "--cache", str(target))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and str(target) in err
+    assert not target.parent.exists()
 
 
 # -- cremona -------------------------------------------------------------
@@ -332,6 +349,31 @@ def test_report_lines_only_flag(capsys, tmp_path):
     rc, out, _ = run(capsys, "report", "--in", src, "--lines-only")
     assert rc == 0
     assert out.splitlines()[0] == "chi=1 wdim(lines-only)=1 h1corr=0"
+
+
+@pytest.mark.parametrize("s, d, flags, most", [
+    (10, 4, (), 1),
+    (8, 3, ("--lines-only",), 1),
+    (8, 3, (), 2),
+    (4, 1, (), 1),
+])
+def test_report_scans_once(capsys, tmp_path, monkeypatch, s, d, flags, most):
+    # one report is one base_locus_report scan; only the full wdim at
+    # s = 6, 7, 8 reads the lines and quartics a second time
+    calls = []
+    scan = linsys._curve_cycles
+
+    def counted(D):
+        calls.append(D)
+        return scan(D)
+
+    monkeypatch.setattr(linsys, "_curve_cycles", counted)
+    src = write_json(tmp_path / "d.json",
+                     {"kind": "divisor", "s": s, "d": d,
+                      "m": [d] + [2] * (s - 1)})
+    rc, _, _ = run(capsys, "report", "--in", src, *flags)
+    assert rc == 0
+    assert 1 <= len(calls) <= most
 
 
 def test_report_wants_divisor(capsys, tmp_path):

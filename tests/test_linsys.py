@@ -322,9 +322,31 @@ def test_report_small_s_direct_scan():
     assert rep.empties_hint is False
 
 
-def test_report_point_count_guard():
-    with pytest.raises(ValueError):
-        linsys.base_locus_report(D10)
+def test_report_past_eight_points():
+    # the lines, quartics and deep curves cremona report prints for D10;
+    # no Weyl planes are listed past eight points
+    rep = linsys.base_locus_report(D10)
+    assert rep.lines == {(1, j): 2 for j in range(2, 11)}
+    assert rep.quartics == {} and rep.planes == {}
+    assert rep.pairwise_conflicts == () and rep.empties_hint is False
+    assert rep.deep_curves == tuple(("line", (1, j), 2) for j in range(2, 11))
+    assert (rep.chi, rep.h1corr) == (-10, 9)
+    with pytest.raises(ValueError, match="more than the scan covers"):
+        linsys.base_locus_report(F(40, 1, (1,) * 40))
+
+
+def test_report_chi_and_h1corr():
+    # the report's chi and h1corr are chi and h1_correction, and they add
+    # up to the lines-only wdim, at every s the scan covers
+    rng = random.Random(8)
+    for _ in range(60):
+        s = rng.randint(1, 12)
+        d = rng.randint(0, 6)
+        D = F(s, d, tuple(rng.randint(0, d + 1) for _ in range(s)))
+        rep = linsys.base_locus_report(D)
+        assert rep.chi == linsys.chi(D)
+        assert rep.h1corr == linsys.h1_correction(D)
+        assert rep.chi + rep.h1corr == linsys.wdim(D, lines_only=True)
 
 
 def test_report_trivial_when_mults_at_most_half_degree():

@@ -221,6 +221,13 @@ def test_orbit_budget():
         weyl.orbit(weyl.line_record(1, 2), budget=10)
 
 
+@pytest.mark.parametrize("budget", [40.9, "100", True, 36.0])
+def test_orbit_budget_must_be_an_int(budget):
+    # refused, not truncated (int(40.9) would cap the orbit at 40)
+    with pytest.raises(ValueError, match="budget must hold integers"):
+        weyl.orbit(weyl.line_record(1, 2), budget=budget)
+
+
 def test_weyl_convenience_lists():
     assert len(weyl.weyl_lines(8)) == 36
     assert len(weyl.weyl_planes(8)) == 204

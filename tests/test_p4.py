@@ -1,5 +1,5 @@
 """The lifted Cremona involution on blown-up P^4: basis images, records,
-reduced multiplicity-only transforms."""
+and the records with no contact beyond point and line multiplicities."""
 
 import random
 
@@ -201,58 +201,70 @@ def test_record_formulas_agree_with_class_map_sampled_box():
             p4.cremona(p4.surface_class(T)))
 
 
-def test_reduced_surface_is_restriction_of_full_map():
-    rng = random.Random(13)
-    for _ in range(100):
-        d = rng.randint(-3, 3)
-        m = tuple(rng.randint(-3, 3) for _ in range(5))
-        ml = tuple(rng.randint(-3, 3) for _ in range(10))
-        T = p4.P4Surface(d, m, ml, Z10, Z10, Z30)
-        full = p4.cremona_surface(T)
-        # contact coefficients stay zero: the span of S, S_i, P_ij is closed
-        assert full.nl == Z10 and full.mp == Z10 and full.np == Z30
-        assert p4.reduced_surface(d, m, ml) == (full.d, full.m, full.ml)
+# records with no contact beyond the point and line multiplicities: the
+# full maps on them are the multiplicity-only five point Cremona
+
+def _divisor(d, m):
+    return p4.P4Divisor(d, m, Z10, Z10)
+
+
+def _curve(d, m):
+    return p4.P4Curve(d, m, Z10, Z10)
+
+
+def _surface(d, m, ml):
+    return p4.P4Surface(d, m, ml, Z10, Z10, Z30)
 
 
 def test_reduced_surface_kills_plane_through_three_points():
     ml = tuple(1 if set(q) <= {0, 1, 2} else 0 for q in p4.PAIRS)
-    d2, m2, ml2 = p4.reduced_surface(1, (1, 1, 1, 0, 0), ml)
-    assert d2 == 0 and m2 == Z5
-    assert ml2 == tuple(1 if q == (3, 4) else 0 for q in p4.PAIRS)
+    got = p4.cremona_surface(_surface(1, (1, 1, 1, 0, 0), ml))
+    assert got == _surface(0, Z5, tuple(1 if q == (3, 4) else 0
+                                        for q in p4.PAIRS))
 
 
 def test_reduced_surface_fixed_classes():
     # symmetric fixed records satisfy d = 3m - 2n
     for rec in ((7, (3,) * 5, (1,) * 10), (6, (2,) * 5, Z10)):
-        assert p4.reduced_surface(*rec) == rec
+        assert p4.cremona_surface(_surface(*rec)) == _surface(*rec)
 
 
 def test_reduced_surface_zero():
-    assert p4.reduced_surface(0, Z5, Z10) == (0, Z5, Z10)
+    assert p4.cremona_surface(_surface(0, Z5, Z10)) == _surface(0, Z5, Z10)
 
 
 def test_reduced_curve_examples():
-    assert p4.reduced_curve(1, Z5) == (4, (1,) * 5)
-    assert p4.reduced_curve(4, (1,) * 5) == (1, Z5)
-    assert p4.reduced_curve(1, (1, 1, 0, 0, 0))[0] == -2
+    assert p4.cremona_curve(_curve(1, Z5)) == _curve(4, (1,) * 5)
+    assert p4.cremona_curve(_curve(4, (1,) * 5)) == _curve(1, Z5)
+    assert p4.cremona_curve(_curve(1, (1, 1, 0, 0, 0))).d == -2
 
 
 def test_reduced_divisor_examples():
     # hyperplane through four of the five points contracts
-    assert p4.reduced_divisor(1, (1, 1, 1, 1, 0)) == (0, (0, 0, 0, 0, -1))
-    assert p4.reduced_divisor(2, (1,) * 5) == (3, (2,) * 5)
-    assert p4.reduced_divisor(0, Z5) == (0, Z5)
+    got = p4.cremona_divisor(_divisor(1, (1, 1, 1, 1, 0)))
+    assert (got.d, got.m) == (0, (0, 0, 0, 0, -1))
+    got = p4.cremona_divisor(_divisor(2, (1,) * 5))
+    assert (got.d, got.m) == (3, (2,) * 5)
+    assert p4.cremona_divisor(_divisor(0, Z5)) == _divisor(0, Z5)
 
 
 def test_reduced_maps_involutive():
+    # the span of S, S_i, P_ij is closed, and so is the span of l, l_i:
+    # their records keep zero contact; a divisor picks up E_ij and E_ijk
+    # multiplicities, which the second application clears again
     rng = random.Random(19)
     for _ in range(100):
         d = rng.randint(-3, 3)
         m = tuple(rng.randint(-3, 3) for _ in range(5))
         ml = tuple(rng.randint(-3, 3) for _ in range(10))
-        assert p4.reduced_divisor(*p4.reduced_divisor(d, m)) == (d, m)
-        assert p4.reduced_curve(*p4.reduced_curve(d, m)) == (d, m)
-        assert p4.reduced_surface(*p4.reduced_surface(d, m, ml)) == (d, m, ml)
+        D = _divisor(d, m)
+        assert p4.cremona_divisor(p4.cremona_divisor(D)) == D
+        C = p4.cremona_curve(_curve(d, m))
+        assert C.ml == C.mp == Z10
+        assert p4.cremona_curve(C) == _curve(d, m)
+        T = p4.cremona_surface(_surface(d, m, ml))
+        assert T.nl == T.mp == Z10 and T.np == Z30
+        assert p4.cremona_surface(T) == _surface(d, m, ml)
 
 
 def test_pairing_preserved_divisor_curve():
