@@ -12,6 +12,7 @@ contracted the class (the image is still printed).
 
 import argparse
 import json
+import re
 import sys
 
 from . import chow, linsys, p3, p4, weyl
@@ -95,12 +96,24 @@ def surface_to_triangle(rec):
     return "\n".join(out)
 
 
+_INT_TOKEN = re.compile(r"-?[0-9]+")
+
+
+def ascii_int(text):
+    """An integer written on the command line or in a triangle: ASCII
+    -?[0-9]+ only (int() would also read 1_0 as 10, "+5", " 5" and
+    non-ASCII digits); anything else raises ValueError."""
+    if not _INT_TOKEN.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def surface_from_triangle(text, s=8):
     toks = text.split()
     if len(toks) != 45:
         raise CliError(f"the triangular array has 45 entries, got {len(toks)}")
     try:
-        vals = [int(t) for t in toks]
+        vals = [ascii_int(t) for t in toks]
     except ValueError:
         raise CliError("the triangular array must be whitespace-separated "
                        "integers") from None
@@ -271,7 +284,7 @@ def cmd_orbit(args):
 
 def parse_centers(text):
     try:
-        centers = tuple(int(t) for t in text.split(","))
+        centers = tuple(ascii_int(t) for t in text.split(","))
     except ValueError:
         raise CliError(f"bad centers {text!r}") from None
     return centers
@@ -418,7 +431,7 @@ def build_parser():
     def common(p):
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
-        p.add_argument("--s", type=int, default=8,
+        p.add_argument("--s", type=ascii_int, default=8,
                        help="point count for triangular input and builtin "
                             "seeds (default 8)")
 

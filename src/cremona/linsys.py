@@ -69,6 +69,7 @@ def chi(D):
 
 def k_line(D, i, j):
     """k of the line L_ij, that is m_i + m_j - d."""
+    i, j = int_tuple((i, j), 2, "point labels")
     if i == j or not (1 <= i <= D.s and 1 <= j <= D.s):
         raise ValueError(f"no line L_{i}{j} on {D.s} points")
     return D.m[i - 1] + D.m[j - 1] - D.d
@@ -76,14 +77,15 @@ def k_line(D, i, j):
 
 def k_quartic_through(D, points):
     """k of the rational normal quartic through seven of the points."""
-    pts = sorted(points)
-    if len(pts) != 7 or len(set(pts)) != 7 or pts[0] < 1 or pts[-1] > D.s:
+    pts = sorted(int_tuple(points, 7, "quartic point labels"))
+    if len(set(pts)) != 7 or pts[0] < 1 or pts[-1] > D.s:
         raise ValueError("a quartic needs seven distinct point labels")
     return sum(D.m[i - 1] for i in pts) - 4 * D.d
 
 
 def k_quartic(D, k):
     """k of Q_k, the quartic missing only p_k (slots as in quartic_slots)."""
+    k, = int_tuple((k,), 1, "quartic label")
     if k not in weyl.quartic_slots(D.s):
         raise ValueError(f"no quartic Q_{k} on {D.s} points")
     return sum(D.m[i - 1] for i in range(1, D.s + 1) if i != k) - 4 * D.d
@@ -117,6 +119,34 @@ def _plane_curve(T):
 @lru_cache(maxsize=None)
 def _plane_curves(s):
     return {T: _plane_curve(T) for T in weyl.weyl_planes(s)}
+
+
+@lru_cache(maxsize=None)
+def _plane_types(s):
+    # the Gamma_T grouped as weyl.divisor_types groups the hyperplane
+    # classes: (degree, mu sorted down, every mu of that type)
+    groups = {}
+    for C in _plane_curves(s).values():
+        key = (C.d, tuple(sorted(C.m, reverse=True)))
+        groups.setdefault(key, []).append(C.m)
+    return tuple((d, mu, tuple(ms)) for (d, mu), ms in groups.items())
+
+
+@lru_cache(maxsize=None)
+def _plane_pairings(s):
+    # one bytes row per Weyl plane in _plane_curves(s) order, byte j of
+    # row i = weyl.surface_form(P_i, P_j).  Each of the 45 record entries
+    # is packed into one integer holding its value on every plane in an
+    # 8-bit field, so a row is a single exact integer sum read back with
+    # to_bytes.  Every field ends in 0..255 because two Weyl planes pair
+    # to 0, 1 or 3 (and a plane with itself to 1).
+    entries = [(T.d, *T.m, *T.n, *T.mline) for T in _plane_curves(s)]
+    signs = (1,) + (-1,) * 8 + (1,) * 36
+    packed = [int.from_bytes(bytes(v[e] for v in entries), "little")
+              for e in range(45)]
+    return tuple(
+        sum(x * sign * col for x, sign, col in zip(v, signs, packed) if x)
+        .to_bytes(len(entries), "little") for v in entries)
 
 
 def k_weyl_plane(D, T):
@@ -158,6 +188,22 @@ def k_weyl_divisor(D, W):
     if not (weyl.is_weyl_divisor(W) and W.s == _weyl_points(D)):
         raise ValueError(f"not a Weyl hyperplane class: {W!r}")
     return _k_values(D, (W,), 3)[0]
+
+
+def _binomial_sum(D, types, weight, shift):
+    # sum of C(k + shift, 4) over every class c of every type (deg, c
+    # sorted down, arrangements), k = sum m_i c_i - weight * d * deg.  By
+    # the rearrangement inequality no arrangement beats m sorted down
+    # against c sorted down, for any integer m, so a type whose bound has
+    # k + shift < 4 adds only zeros and is skipped.
+    m, top = D.m, sorted(D.m, reverse=True)
+    total = 0
+    for deg, c, arrangements in types:
+        base = weight * D.d * deg - shift
+        if sum(map(mul, top, c)) - base >= 4:
+            total += sum(_c4(sum(map(mul, m, a)) - base)
+                         for a in arrangements)
+    return total
 
 
 def _curve_cycles(D):
@@ -205,9 +251,8 @@ def wdim(D, lines_only=False):
     total = chi(D) + h1_correction(D)
     if not lines_only:
         s = _weyl_points(D)
-        total -= sum(_c4(1 + k)
-                     for k in _k_values(D, _plane_curves(s).values(), 1))
-        total += sum(_c4(k) for k in _k_values(D, weyl.weyl_divisors(s), 3))
+        total -= _binomial_sum(D, _plane_types(s), 1, 1)
+        total += _binomial_sum(D, weyl.divisor_types(s), 3, 0)
     return total
 
 
@@ -271,14 +316,17 @@ def base_locus_report(D):
     if D.s in weyl.POINT_COUNTS:
         gammas = _plane_curves(D.s)
         listed = []
-        for T, k in zip(gammas, _k_values(D, gammas.values(), 1)):
+        ks = _k_values(D, gammas.values(), 1)
+        for i, (T, k) in enumerate(zip(gammas, ks)):
             if k > 0:
                 name = plane_id(T)
                 planes[name] = k
-                listed.append((name, T))
-        for (a, A), (b, B) in combinations(listed, 2):
-            if weyl.surface_form(A, B):
-                conflicts.append((a, b) if a < b else (b, a))
+                listed.append((name, i))
+        if len(listed) > 1:
+            rows = _plane_pairings(D.s)
+            for (a, i), (b, j) in combinations(listed, 2):
+                if rows[i][j]:
+                    conflicts.append((a, b) if a < b else (b, a))
     elif D.s < 6:
         for tri in combinations(range(1, D.s + 1), 3):
             k = sum(D.m[i - 1] for i in tri) - 2 * D.d

@@ -739,18 +739,28 @@ def is_weyl_divisor(rec):
 
 
 @lru_cache(maxsize=None)
-def weyl_divisors(s=8):
-    """The Weyl hyperplane classes on s points, sorted: every integer
-    (d; m) with 3d^2 - sum m^2 = -1, 5d - sum m = 1 and d >= 1.  Equals
-    divisor_orbit(s).members, order included.  Cauchy-Schwarz bounds d
-    by (5d - 1)^2 <= s (3d^2 + 1), an interval from d = 1 for s <= 8."""
+def divisor_types(s=8):
+    """The Weyl hyperplane classes on s points by permutation type: a
+    tuple of (d, w, arrangements), w the multiplicities sorted down and
+    arrangements every distinct ordering of w.  The types solve
+    3d^2 - sum m^2 = -1, 5d - sum m = 1 with d >= 1; Cauchy-Schwarz bounds
+    d by (5d - 1)^2 <= s (3d^2 + 1), an interval from d = 1 for s <= 8."""
     _check_point_count(s)
     out, d = [], 1
     while (5 * d - 1) ** 2 <= s * (3 * d * d + 1):
-        for m in _sorted_solutions(s, 5 * d - 1, 3 * d * d + 1):
-            out.extend(DivisorRecord(s, d, p) for p in _arrangements(m))
+        out.extend((d, w, tuple(_arrangements(w)))
+                   for w in _sorted_solutions(s, 5 * d - 1, 3 * d * d + 1))
         d += 1
-    return tuple(sorted(out))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def weyl_divisors(s=8):
+    """The Weyl hyperplane classes on s points, sorted: the arrangements
+    of divisor_types(s) as records.  Equals divisor_orbit(s).members,
+    order included."""
+    return tuple(sorted(DivisorRecord(s, d, m) for d, _, arrangements
+                        in divisor_types(s) for m in arrangements))
 
 
 def _sorted_solutions(k, total, squares, cap=None):

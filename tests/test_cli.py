@@ -156,6 +156,25 @@ def test_cremona_bad_centers(capsys, tmp_path):
         assert rc == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("centers", ["\u0661,2,5,6,7", "1_0,2,5,6,7",
+                                     "+1,2,5,6,7", " 1,2,5,6,7", "1,2,5,6,7,"])
+def test_cremona_centers_are_ascii_integers(capsys, tmp_path, centers):
+    # int() reads the Arabic-Indic one as 1 and 1_0 as 10; both used to
+    # reach the Cremona, the first one printing (2; 2 2 1 1 1 1 1 0)
+    src = record_file(tmp_path / "w.json", weyl.hyperplane_record((1, 2, 3, 4)))
+    rc, out, err = run(capsys, "cremona", "--kind", "divisor", "--in", src,
+                       "--centers", centers)
+    assert rc == 2 and out == "" and "bad centers" in err
+
+
+def test_point_count_option_is_an_ascii_integer(capsys):
+    for value in ("\u0667", "7_0", "+7"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["orbit", "--kind", "line", "--s", value])
+        assert exc.value.code == 2
+    assert "invalid" in capsys.readouterr().err
+
+
 def test_cremona_kind_mismatch(capsys, tmp_path):
     src = record_file(tmp_path / "w.json", weyl.hyperplane_record((1, 2, 3, 4)))
     rc, _, err = run(capsys, "cremona", "--kind", "surface", "--in", src,
@@ -415,6 +434,22 @@ def test_classify_divisor_outside_the_orbit_is_other(capsys, tmp_path):
 
 
 # -- serialization round trips -------------------------------------------
+
+@pytest.mark.parametrize("bad", ["1_0", "\u0661", "+1", "0x1", "1.0"])
+def test_triangle_entries_are_ascii_integers(capsys, tmp_path, bad):
+    # the degree of S_1(1,2,3) written as 1_0 used to read as 10 (and
+    # classify as Other, exit 0), the Arabic-Indic one as 1
+    toks = cli.surface_to_triangle(weyl.s1_plane(1, 2, 3)).split()
+    assert toks[0] == "1"
+    path = tmp_path / "t.txt"
+    path.write_text(" ".join([bad] + toks[1:]) + "\n")
+    rc, out, err = run(capsys, "classify", "--kind", "surface",
+                       "--in", str(path))
+    assert rc == 2 and out == ""
+    assert "whitespace-separated integers" in err
+    with pytest.raises(cli.CliError):
+        cli.surface_from_triangle(path.read_text())
+
 
 def test_triangle_roundtrip():
     rec = weyl.s3_cubic(2, 7)

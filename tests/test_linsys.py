@@ -1,6 +1,7 @@
 """Dimension bookkeeping: chi, the k values, wdim, base locus reports."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -71,6 +72,20 @@ def test_k_quartic_examples():
         linsys.k_quartic(F(6, 1, (1,) * 6), 1)
     with pytest.raises(ValueError):
         linsys.k_quartic_through(D, (1, 2, 3, 4, 5, 6, 6))
+
+
+@pytest.mark.parametrize("call", [
+    lambda D: linsys.k_line(D, True, 2),
+    lambda D: linsys.k_line(D, 1, 2.0),
+    lambda D: linsys.k_quartic(D, True),
+    lambda D: linsys.k_quartic(D, 8.0),
+    lambda D: linsys.k_quartic_through(D, (1, 2, 3, 4, 5, 6, 7.0)),
+    lambda D: linsys.k_quartic_through(D, (True, 2, 3, 4, 5, 6, 7)),
+])
+def test_k_point_labels_must_be_ints(call):
+    # a bool used to pass as label 1, and a float label raised TypeError
+    with pytest.raises(ValueError, match="must hold integers"):
+        call(F(8, 4, (2,) * 8))
 
 
 def test_k_curve_matches_named_k():
@@ -260,6 +275,80 @@ def test_wdim_corrects_chi():
     assert (D2.d, D2.m) == (2, (3, 1, 1, 1, 1, 0, 0, 0))
     assert linsys.chi(D) == 0 and linsys.chi(D2) == -4
     assert linsys.wdim(D) == linsys.wdim(D2) == 0
+
+
+def _c4(a):
+    return comb(a, 4) if a >= 4 else 0
+
+
+def plain_wdim(D):
+    # the untyped sum: every Gamma_T and every Weyl hyperplane class, one
+    # k at a time, nothing skipped
+    total = linsys.wdim(D, lines_only=True)
+    for G in linsys._plane_curves(D.s).values():
+        total -= _c4(1 + sum(a * b for a, b in zip(D.m, G.m)) - D.d * G.d)
+    for W in weyl.weyl_divisors(D.s):
+        total += _c4(sum(a * b for a, b in zip(D.m, W.m)) - 3 * D.d * W.d)
+    return total
+
+
+def test_plane_types_group_the_plane_curves():
+    for s, n in ((6, 1), (7, 2), (8, 5)):
+        types = linsys._plane_types(s)
+        assert len(types) == n
+        curves = sorted(linsys._plane_curves(s).values())
+        assert sorted(weyl.CurveRecord(s, d, mu) for d, _, ms in types
+                      for mu in ms) == curves
+        for _, top, ms in types:
+            assert list(top) == sorted(top, reverse=True)
+            assert all(sorted(mu, reverse=True) == list(top) for mu in ms)
+
+
+def test_typed_wdim_matches_plain_sum():
+    # edges of the skip bound: in the first four some type's best
+    # arrangement lands exactly on k + shift = 4 (plane types on s = 8 and
+    # 7, hyperplane types on s = 8 and 6), so it adds C(4, 4) = 1
+    edges = [F(8, 1, (2, 2, 1, 0, 0, 0, 0, 0)), F(7, 1, (2, 2, 1, 0, 0, 0, 0)),
+             F(6, 1, (2, 2, 2, 1, 0, 0)), F(8, 3, (3, 3, 3, 2, 2, 1, 1, 1)),
+             F(8, 0, (0,) * 8), F(8, 0, (-1, 2, 0, 0, 0, 0, 0, -3))]
+    rng = random.Random(12)
+    cases = list(edges)
+    for _ in range(150):
+        s = rng.choice((6, 7, 8))
+        d = rng.choice((0, 1, 2, 3, 5, 8, 13, 21, 34, 60))
+        lo = rng.choice((-4, 0, d // 2))
+        m = tuple(rng.randint(lo, max(lo, d + 2)) for _ in range(s))
+        cases.append(F(s, d, m))
+    for D in cases:
+        assert linsys.wdim(D) == plain_wdim(D), D
+
+
+def test_plane_pairings_match_surface_form():
+    for s in weyl.POINT_COUNTS:
+        planes = list(linsys._plane_curves(s))
+        rows = linsys._plane_pairings(s)
+        assert len(rows) == len(planes)
+        for R, row in zip(planes, rows):
+            assert type(row) is bytes and len(row) == len(planes)
+            assert list(row) == [weyl.surface_form(R, T) for T in planes]
+    hist = Counter(v for row in linsys._plane_pairings(8) for v in row)
+    assert hist == {0: 31836, 1: 9612, 3: 168}
+
+
+def test_report_conflicts_read_the_table(monkeypatch):
+    # the conflict scan reads _plane_pairings, built without surface_form
+    calls = []
+    form = weyl.surface_form
+
+    def counted(R, T):
+        calls.append(1)
+        return form(R, T)
+
+    monkeypatch.setattr(weyl, "surface_form", counted)
+    linsys._plane_pairings.cache_clear()
+    rep = linsys.base_locus_report(F(8, 3, (3, 3, 3, 2, 2, 1, 1, 1)))
+    assert len(rep.planes) == 139 and len(rep.pairwise_conflicts) == 1726
+    assert calls == []
 
 
 def test_plane_id():

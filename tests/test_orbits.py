@@ -228,6 +228,19 @@ def test_orbit_budget_must_be_an_int(budget):
         weyl.orbit(weyl.line_record(1, 2), budget=budget)
 
 
+def test_divisor_types_arrange_into_weyl_divisors():
+    for s, n in ((6, 1), (7, 3), (8, 14)):
+        types = weyl.divisor_types(s)
+        assert len(types) == n
+        recs = [weyl.DivisorRecord(s, d, m) for d, _, ms in types for m in ms]
+        assert len(set(recs)) == len(recs)
+        assert tuple(sorted(recs)) == weyl.weyl_divisors(s)
+        for _, w, ms in types:
+            assert list(w) == sorted(w, reverse=True)
+            assert w in ms
+            assert all(sorted(m, reverse=True) == list(w) for m in ms)
+
+
 def test_weyl_convenience_lists():
     assert len(weyl.weyl_lines(8)) == 36
     assert len(weyl.weyl_planes(8)) == 204
