@@ -19,6 +19,9 @@ share between threads.
 
 from __future__ import annotations
 
+import functools
+import re
+import threading
 from dataclasses import dataclass, field
 
 INT64_MAX = 2**63 - 1
@@ -474,6 +477,39 @@ def int_tuple(values, n, what):
         if type(x) is not int:
             raise ValueError(f"{what} must hold integers, got {x!r}")
     return t
+
+
+_INT_TOKEN = re.compile(r"-?[0-9]+")
+
+
+def ascii_int(text):
+    """The integer a piece of text spells: ASCII -?[0-9]+ only (int()
+    would also read 1_0 as 10, "+5", " 5" and non-ASCII digits); anything
+    else raises ValueError.  The one reader of integers written on the
+    command line, in a triangle or in the environment."""
+    if not _INT_TOKEN.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def build_once(build):
+    """A function returning build(), called on its first call only.
+
+    Threads that make the first call together wait for one build and all
+    get its result, so tables that must exist once per process (a ring
+    whose classes are compared by identity) are never built twice.
+    """
+    lock = threading.Lock()
+    built = []
+
+    @functools.wraps(build)
+    def get():
+        if not built:
+            with lock:
+                if not built:
+                    built.append(build())
+        return built[0]
+    return get
 
 
 # -- records: fixed-length integer views of the classes of one grade ------

@@ -12,8 +12,8 @@ contracted the class (the image is still printed).
 
 import argparse
 import json
-import re
 import sys
+from collections import Counter
 
 from . import chow, linsys, p3, p4, weyl
 
@@ -96,24 +96,12 @@ def surface_to_triangle(rec):
     return "\n".join(out)
 
 
-_INT_TOKEN = re.compile(r"-?[0-9]+")
-
-
-def ascii_int(text):
-    """An integer written on the command line or in a triangle: ASCII
-    -?[0-9]+ only (int() would also read 1_0 as 10, "+5", " 5" and
-    non-ASCII digits); anything else raises ValueError."""
-    if not _INT_TOKEN.fullmatch(text):
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
-
-
 def surface_from_triangle(text, s=8):
     toks = text.split()
     if len(toks) != 45:
         raise CliError(f"the triangular array has 45 entries, got {len(toks)}")
     try:
-        vals = [ascii_int(t) for t in toks]
+        vals = [chow.ascii_int(t) for t in toks]
     except ValueError:
         raise CliError("the triangular array must be whitespace-separated "
                        "integers") from None
@@ -167,7 +155,8 @@ def print_record(rec, as_json):
 
 # -- chow class serialization ------------------------------------------
 
-_RINGS = {"x3": p3.RING, "x4": p4.RING}
+# the modules, not their rings: a ring is built on its first use
+_RINGS = {"x3": p3, "x4": p4}
 
 
 def _shift_name(name, delta):
@@ -189,7 +178,7 @@ def chow_from_json(doc, ring_name):
     if doc.get("ring", ring_name) != ring_name:
         raise CliError(f"ring mismatch: file says {doc['ring']}, "
                        f"command says {ring_name}")
-    ring = _RINGS[ring_name]
+    ring = _RINGS[ring_name].RING
     terms = doc.get("terms", {})
     if not isinstance(terms, dict):
         raise CliError("terms must be an object mapping class names to integers")
@@ -239,9 +228,9 @@ def builtin_seed(kind, s):
     raise CliError(f"no builtin seed of kind {kind!r}")
 
 
-def write_cache(path, result):
+def write_cache(path, members):
     lines = []
-    for rec in result.members:
+    for rec in members:
         doc = json.dumps(record_to_json(rec), sort_keys=True,
                          separators=(",", ":"))
         lines.append(f"{weyl.record_tag(rec)}\t{doc}")
@@ -254,27 +243,46 @@ def write_cache(path, result):
         raise CliError(str(e)) from None
 
 
+# the closed forms of the builtin seeds' orbits; each equals the orbit
+# search from builtin_seed, order included (tests/test_orbits.py)
+_BUILTIN_ORBITS = {"line": weyl.weyl_lines, "plane": weyl.weyl_planes,
+                   "divisor": weyl.weyl_divisors}
+
+
+def builtin_orbit(kind, s):
+    """The labeled members of the builtin seed's orbit, read off the
+    closed forms under the search's budget rule: more members than the
+    cap raise OrbitBudgetExceededError."""
+    try:
+        seed = builtin_seed(kind, s)
+    except ValueError as e:
+        raise CliError(str(e)) from None
+    cap = weyl._orbit_cap(None)
+    members = _BUILTIN_ORBITS[kind](s)
+    if len(members) > cap:
+        raise weyl.OrbitBudgetExceededError(
+            f"more than {cap} labeled members from {seed!r}")
+    return members
+
+
 def cmd_orbit(args):
     if args.seed:
-        seed = load_record(args.seed, s=args.s)
+        members = weyl.orbit(load_record(args.seed, s=args.s)).members
     else:
-        try:
-            seed = builtin_seed(args.kind, args.s)
-        except ValueError as e:
-            raise CliError(str(e)) from None
-    result = weyl.orbit(seed)
+        members = builtin_orbit(args.kind, args.s)
     if args.cache:
-        write_cache(args.cache, result)
+        write_cache(args.cache, members)
+    if args.json or args.census:
+        census = Counter(weyl.record_tag(r) for r in members)
     if args.json:
-        doc = {"members": len(result.members),
-               "census": dict(sorted(result.type_census.items()))}
+        doc = {"members": len(members), "census": dict(sorted(census.items()))}
         if args.cache:
             doc["cache"] = args.cache
         print(json.dumps(doc))
     else:
-        print(f"members: {len(result.members)}")
+        print(f"members: {len(members)}")
         if args.census:
-            print(f"census: {census_line(result.type_census)}")
+            print(f"census: {census_line(census)}")
         if args.cache:
             print(f"cache written: {args.cache}")
     return EX_OK
@@ -284,7 +292,7 @@ def cmd_orbit(args):
 
 def parse_centers(text):
     try:
-        centers = tuple(ascii_int(t) for t in text.split(","))
+        centers = tuple(chow.ascii_int(t) for t in text.split(","))
     except ValueError:
         raise CliError(f"bad centers {text!r}") from None
     return centers
@@ -431,7 +439,7 @@ def build_parser():
     def common(p):
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
-        p.add_argument("--s", type=ascii_int, default=8,
+        p.add_argument("--s", type=chow.ascii_int, default=8,
                        help="point count for triangular input and builtin "
                             "seeds (default 8)")
 

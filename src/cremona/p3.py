@@ -24,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .chow import (ChowClass, ChowRing, WrongGradeError, int_tuple,
-                   linear_map, record_entries, record_layout, record_terms)
+from .chow import (ChowClass, ChowRing, WrongGradeError, build_once,
+                   int_tuple, linear_map, record_entries, record_layout,
+                   record_terms)
 
 POINTS = tuple(range(4))
 PAIRS = tuple(combinations(POINTS, 2))
@@ -87,11 +88,7 @@ def _build_ring() -> ChowRing:
     return R
 
 
-RING = _build_ring()
-
-
-def _involution_images() -> dict:
-    R = RING
+def _involution_images(R: ChowRing) -> dict:
     img = {}
     img[R.element("one")] = R.cls("one")
     img[R.element("p")] = R.cls("p")
@@ -122,14 +119,41 @@ def _involution_images() -> dict:
     return img
 
 
-_INVOLUTION = _involution_images()
+class _Tables:
+    """The X3 ring and what is looked up in it once: the involution's
+    basis images and the record layouts."""
+
+    def __init__(self):
+        R = self.ring = _build_ring()
+        self.involution = _involution_images(R)
+        self.divisor = record_layout(R, ("H",),
+                                     (-1, [("E", (i,)) for i in POINTS]),
+                                     (-1, [("E", q) for q in PAIRS]))
+        self.curve = record_layout(R, ("l",),
+                                   (-1, [("l", (i,)) for i in POINTS]),
+                                   (-1, [("f", q) for q in PAIRS]))
+
+
+# built on first use, so a program that never touches the ring (most CLI
+# commands) does not pay for it
+_tables = build_once(_Tables)
+
+
+def __getattr__(name):
+    # RING and _INVOLUTION read like module constants (PEP 562)
+    if name == "RING":
+        return _tables().ring
+    if name == "_INVOLUTION":
+        return _tables().involution
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def cremona(x: ChowClass) -> ChowClass:
     """Lifted standard Cremona involution of P^3, as a ring automorphism."""
-    if x.ring is not RING:
+    tab = _tables()
+    if x.ring is not tab.ring:
         raise WrongGradeError("class does not belong to the P^3 ring")
-    return linear_map(x, _INVOLUTION)
+    return linear_map(x, tab.involution)
 
 
 @dataclass(frozen=True)
@@ -154,32 +178,28 @@ class P3Curve(_P3Record):
     """Curve record (d; m_0..m_3; n over PAIRS order)."""
 
 
-_DIVISOR_LAYOUT = record_layout(RING, ("H",),
-                                (-1, [("E", (i,)) for i in POINTS]),
-                                (-1, [("E", q) for q in PAIRS]))
-_CURVE_LAYOUT = record_layout(RING, ("l",),
-                              (-1, [("l", (i,)) for i in POINTS]),
-                              (-1, [("f", q) for q in PAIRS]))
-
-
 def divisor_class(D: P3Divisor) -> ChowClass:
-    return RING.make_class(1, record_terms(_DIVISOR_LAYOUT, D.d, D.m, D.nl))
+    tab = _tables()
+    return tab.ring.make_class(1, record_terms(tab.divisor, D.d, D.m, D.nl))
 
 
 def divisor_from_class(x: ChowClass) -> P3Divisor:
-    if x.ring is not RING or x.grade != 1:
+    tab = _tables()
+    if x.ring is not tab.ring or x.grade != 1:
         raise WrongGradeError("divisor records live in grade 1 of the P^3 ring")
-    return P3Divisor(*record_entries(x, _DIVISOR_LAYOUT))
+    return P3Divisor(*record_entries(x, tab.divisor))
 
 
 def curve_class(C: P3Curve) -> ChowClass:
-    return RING.make_class(2, record_terms(_CURVE_LAYOUT, C.d, C.m, C.nl))
+    tab = _tables()
+    return tab.ring.make_class(2, record_terms(tab.curve, C.d, C.m, C.nl))
 
 
 def curve_from_class(x: ChowClass) -> P3Curve:
-    if x.ring is not RING or x.grade != 2:
+    tab = _tables()
+    if x.ring is not tab.ring or x.grade != 2:
         raise WrongGradeError("curve records live in grade 2 of the P^3 ring")
-    return P3Curve(*record_entries(x, _CURVE_LAYOUT))
+    return P3Curve(*record_entries(x, tab.curve))
 
 
 def cremona_divisor(D: P3Divisor) -> P3Divisor:
@@ -212,4 +232,4 @@ def cremona_curve(C: P3Curve) -> P3Curve:
 
 def normalize(terms) -> ChowClass:
     """Expand a symbolic combination (g_ij allowed) into basis cycles."""
-    return RING.normalize(terms)
+    return _tables().ring.normalize(terms)

@@ -36,8 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .chow import (ChowClass, ChowRing, WrongGradeError, int_tuple,
-                   linear_map, record_entries, record_layout, record_terms)
+from .chow import (ChowClass, ChowRing, WrongGradeError, build_once,
+                   int_tuple, linear_map, record_entries, record_layout,
+                   record_terms)
 
 POINTS = tuple(range(5))
 PAIRS = tuple(combinations(POINTS, 2))
@@ -260,11 +261,7 @@ def _build_ring() -> ChowRing:
     return R
 
 
-RING = _build_ring()
-
-
-def _involution_images() -> dict:
-    R = RING
+def _involution_images(R: ChowRing) -> dict:
     el = R.element
     img = {el("one"): R.cls("one"), el("p"): R.cls("p")}
 
@@ -346,14 +343,49 @@ def _involution_images() -> dict:
     return img
 
 
-_INVOLUTION = _involution_images()
+class _Tables:
+    """The X4 ring and what is looked up in it once: the involution's
+    basis images and the record layouts."""
+
+    def __init__(self):
+        R = self.ring = _build_ring()
+        self.involution = _involution_images(R)
+        self.divisor = record_layout(R, ("H",),
+                                     (-1, [("E", (i,)) for i in POINTS]),
+                                     (-1, [("E", q) for q in PAIRS]),
+                                     (-1, [("E", t) for t in TRIPLES]))
+        self.curve = record_layout(R, ("l",),
+                                   (-1, [("l", (i,)) for i in POINTS]),
+                                   (-1, [("l", q) for q in PAIRS]),
+                                   (-1, [("f", t) for t in TRIPLES]))
+        self.surface = record_layout(R, ("S",),
+                                     (-1, [("S", (i,)) for i in POINTS]),
+                                     (-1, [("P", q) for q in PAIRS]),
+                                     (-1, [("F", q) for q in PAIRS]),
+                                     (-1, [("H", t) for t in TRIPLES]),
+                                     (1, [("V", t, w) for t, w in V_SLOTS]))
+
+
+# built on first use, so a program that never touches the ring (most CLI
+# commands) does not pay for it
+_tables = build_once(_Tables)
+
+
+def __getattr__(name):
+    # RING and _INVOLUTION read like module constants (PEP 562)
+    if name == "RING":
+        return _tables().ring
+    if name == "_INVOLUTION":
+        return _tables().involution
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def cremona(x: ChowClass) -> ChowClass:
     """Lifted standard Cremona involution of P^4, as a ring automorphism."""
-    if x.ring is not RING:
+    tab = _tables()
+    if x.ring is not tab.ring:
         raise WrongGradeError("class does not belong to the P^4 ring")
-    return linear_map(x, _INVOLUTION)
+    return linear_map(x, tab.involution)
 
 
 @dataclass(frozen=True)
@@ -405,53 +437,43 @@ class P4Surface:
         object.__setattr__(self, "np", int_tuple(self.np, 30, "np"))
 
 
-_DIVISOR_LAYOUT = record_layout(RING, ("H",),
-                                (-1, [("E", (i,)) for i in POINTS]),
-                                (-1, [("E", q) for q in PAIRS]),
-                                (-1, [("E", t) for t in TRIPLES]))
-_CURVE_LAYOUT = record_layout(RING, ("l",),
-                              (-1, [("l", (i,)) for i in POINTS]),
-                              (-1, [("l", q) for q in PAIRS]),
-                              (-1, [("f", t) for t in TRIPLES]))
-_SURFACE_LAYOUT = record_layout(RING, ("S",),
-                                (-1, [("S", (i,)) for i in POINTS]),
-                                (-1, [("P", q) for q in PAIRS]),
-                                (-1, [("F", q) for q in PAIRS]),
-                                (-1, [("H", t) for t in TRIPLES]),
-                                (1, [("V", t, w) for t, w in V_SLOTS]))
-
-
 def divisor_class(D: P4Divisor) -> ChowClass:
-    return RING.make_class(
-        1, record_terms(_DIVISOR_LAYOUT, D.d, D.m, D.ml, D.mp))
+    tab = _tables()
+    return tab.ring.make_class(
+        1, record_terms(tab.divisor, D.d, D.m, D.ml, D.mp))
 
 
 def divisor_from_class(x: ChowClass) -> P4Divisor:
-    if x.ring is not RING or x.grade != 1:
+    tab = _tables()
+    if x.ring is not tab.ring or x.grade != 1:
         raise WrongGradeError("divisor records live in grade 1 of the P^4 ring")
-    return P4Divisor(*record_entries(x, _DIVISOR_LAYOUT))
+    return P4Divisor(*record_entries(x, tab.divisor))
 
 
 def curve_class(C: P4Curve) -> ChowClass:
-    return RING.make_class(
-        3, record_terms(_CURVE_LAYOUT, C.d, C.m, C.ml, C.mp))
+    tab = _tables()
+    return tab.ring.make_class(
+        3, record_terms(tab.curve, C.d, C.m, C.ml, C.mp))
 
 
 def curve_from_class(x: ChowClass) -> P4Curve:
-    if x.ring is not RING or x.grade != 3:
+    tab = _tables()
+    if x.ring is not tab.ring or x.grade != 3:
         raise WrongGradeError("curve records live in grade 3 of the P^4 ring")
-    return P4Curve(*record_entries(x, _CURVE_LAYOUT))
+    return P4Curve(*record_entries(x, tab.curve))
 
 
 def surface_class(T: P4Surface) -> ChowClass:
-    return RING.make_class(2, record_terms(
-        _SURFACE_LAYOUT, T.d, T.m, T.ml, T.nl, T.mp, T.np))
+    tab = _tables()
+    return tab.ring.make_class(2, record_terms(
+        tab.surface, T.d, T.m, T.ml, T.nl, T.mp, T.np))
 
 
 def surface_from_class(x: ChowClass) -> P4Surface:
-    if x.ring is not RING or x.grade != 2:
+    tab = _tables()
+    if x.ring is not tab.ring or x.grade != 2:
         raise WrongGradeError("surface records live in grade 2 of the P^4 ring")
-    return P4Surface(*record_entries(x, _SURFACE_LAYOUT))
+    return P4Surface(*record_entries(x, tab.surface))
 
 
 def cremona_divisor(D: P4Divisor) -> P4Divisor:
@@ -533,4 +555,4 @@ def cremona_surface(T: P4Surface) -> P4Surface:
 
 def normalize(terms) -> ChowClass:
     """Expand a symbolic combination (G, Lam, M, h, l_ijk, e allowed)."""
-    return RING.normalize(terms)
+    return _tables().ring.normalize(terms)

@@ -23,7 +23,7 @@ from itertools import combinations
 from math import isqrt
 from operator import mul
 
-from .chow import int_tuple
+from .chow import ascii_int, int_tuple
 
 POINT_COUNTS = (6, 7, 8)
 
@@ -613,17 +613,22 @@ def _word_of_perm(perm):
 
 def _orbit_cap(budget):
     # a budget argument is a real int, like every record entry; the
-    # environment override is text and must spell one
+    # environment override is text and must spell one in ASCII digits;
+    # either way a negative cap is refused, not read as "nothing fits"
     if budget is not None:
-        return int_tuple((budget,), 1, "budget")[0]
-    env = os.environ.get("CREMONA_ORBIT_BUDGET")
-    if env is None:
-        return DEFAULT_ORBIT_BUDGET
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"CREMONA_ORBIT_BUDGET must be an integer, "
-                         f"got {env!r}") from None
+        cap, what = int_tuple((budget,), 1, "budget")[0], "budget"
+    else:
+        env = os.environ.get("CREMONA_ORBIT_BUDGET")
+        if env is None:
+            return DEFAULT_ORBIT_BUDGET
+        try:
+            cap, what = ascii_int(env), "CREMONA_ORBIT_BUDGET"
+        except ValueError:
+            raise ValueError(f"CREMONA_ORBIT_BUDGET must be an integer, "
+                             f"got {env!r}") from None
+    if cap < 0:
+        raise ValueError(f"{what} must not be negative, got {cap}")
+    return cap
 
 
 def orbit(seed, budget=None):
@@ -635,8 +640,9 @@ def orbit(seed, budget=None):
     not expanded.  Witness words are shortest-found, with deterministic
     ordering, so repeated runs agree.  budget, an int, caps the member
     count (default 10**6, or the integer in the CREMONA_ORBIT_BUDGET
-    environment variable) and a blowout raises OrbitBudgetExceededError;
-    a budget that is not an integer raises ValueError.
+    environment variable, ASCII digits with an optional minus sign) and a
+    blowout raises OrbitBudgetExceededError; a budget that is not an
+    integer, or is negative, raises ValueError.
     """
     cap = _orbit_cap(budget)
     if seed.d <= 0:

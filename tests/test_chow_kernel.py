@@ -95,6 +95,46 @@ def test_basis_elements_unpickled_under_another_hash_seed():
                    check=True, env={**env, "PYTHONHASHSEED": "2"})
 
 
+LAZY_RINGS = """
+import sys, threading
+import cremona.cli
+from cremona import p3, p4
+assert "cremona.p3" in sys.modules and "cremona.p4" in sys.modules
+assert "RING" not in vars(p3) and "RING" not in vars(p4)
+
+builds = []
+for mod in (p3, p4):
+    def counted(build=mod._build_ring, name=mod.__name__):
+        builds.append(name)
+        return build()
+    mod._build_ring = counted
+
+start, images = threading.Barrier(4), []
+def first_use():
+    start.wait()
+    images.append(p4.cremona(p4.normalize([("H", 1)])))
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=first_use) for _ in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+assert not any(t.is_alive() for t in threads) and len(images) == 4
+assert all(x.ring is p4.RING for x in images)
+assert p3.cremona(p3.normalize([("H", 1)])).ring is p3.RING
+assert builds == ["cremona.p4", "cremona.p3"]
+assert p4._INVOLUTION is p4._INVOLUTION and p3._INVOLUTION is p3._INVOLUTION
+"""
+
+
+def test_rings_are_built_once_on_first_use():
+    # a fresh interpreter: the suite's own imports have built both rings
+    proc = subprocess.run([sys.executable, "-c", LAZY_RINGS], text=True,
+                          capture_output=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+
+
 # -- error parity with the fold ------------------------------------------
 
 def assert_both_raise(error, x, images):

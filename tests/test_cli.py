@@ -1,5 +1,6 @@
 """End to end checks of the command line driver."""
 
+import functools
 import json
 import subprocess
 import sys
@@ -95,12 +96,74 @@ def test_orbit_budget_env(capsys, monkeypatch):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("value", ["1.5", "ten", ""])
+@pytest.mark.parametrize("value", ["1.5", "ten", "", "1_000", " 40 ", "+40",
+                                   "\u0664\u0660", "-5"])
 def test_orbit_budget_env_must_be_an_integer(capsys, monkeypatch, value):
+    # ASCII digits only (int() reads all but the last two), never negative
     monkeypatch.setenv("CREMONA_ORBIT_BUDGET", value)
     rc, out, err = run(capsys, "orbit", "--kind", "line")
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "CREMONA_ORBIT_BUDGET" in err
+
+
+@functools.lru_cache(maxsize=None)
+def searched_orbit(kind, s):
+    # the oracle: the breadth-first search from the builtin seed
+    return weyl.orbit(cli.builtin_seed(kind, s))
+
+
+@pytest.mark.parametrize("mode", ["--census", "--json", "--cache"])
+@pytest.mark.parametrize("s", weyl.POINT_COUNTS)
+@pytest.mark.parametrize("kind", ["line", "plane", "divisor"])
+def test_builtin_orbit_prints_what_the_search_finds(capsys, tmp_path, kind, s,
+                                                     mode):
+    result = searched_orbit(kind, s)
+    n = len(result.members)
+    argv = ["orbit", "--kind", kind, "--s", str(s), mode]
+    if mode == "--cache":
+        argv.append(str(tmp_path / "got.txt"))
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0 and err == ""
+    if mode == "--census":
+        assert out == (f"members: {n}\n"
+                       f"census: {cli.census_line(result.type_census)}\n")
+    elif mode == "--json":
+        assert out == json.dumps({"members": n, "census": dict(
+            sorted(result.type_census.items()))}) + "\n"
+    else:
+        assert out == f"members: {n}\ncache written: {tmp_path / 'got.txt'}\n"
+        cli.write_cache(tmp_path / "want.txt", result.members)
+        assert ((tmp_path / "got.txt").read_bytes()
+                == (tmp_path / "want.txt").read_bytes())
+
+
+@pytest.mark.parametrize("kind", ["line", "plane", "divisor"])
+def test_builtin_orbit_budget_boundary(capsys, monkeypatch, kind):
+    # the search's rule: more labeled members than the cap exit 3
+    n = len(searched_orbit(kind, 8).members)
+    monkeypatch.setenv("CREMONA_ORBIT_BUDGET", str(n))
+    rc, out, _ = run(capsys, "orbit", "--kind", kind)
+    assert rc == 0 and out == f"members: {n}\n"
+    monkeypatch.setenv("CREMONA_ORBIT_BUDGET", str(n - 1))
+    rc, out, err = run(capsys, "orbit", "--kind", kind)
+    assert rc == 3 and out == ""
+    assert err.startswith(f"error: more than {n - 1} labeled members")
+
+
+def test_only_a_custom_seed_runs_the_search(capsys, monkeypatch, tmp_path):
+    calls = []
+    search = weyl.orbit
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+    monkeypatch.setattr(weyl, "orbit", counted)
+    rc, _, _ = run(capsys, "orbit", "--kind", "divisor")
+    assert rc == 0 and calls == []
+    seed = record_file(tmp_path / "seed.json",
+                       weyl.hyperplane_record((1, 2, 3, 4)))
+    rc, out, _ = run(capsys, "orbit", "--seed", seed)
+    assert rc == 0 and out == "members: 2152\n" and len(calls) == 1
 
 
 def test_orbit_cache_unwritable_path(capsys, tmp_path):

@@ -221,10 +221,13 @@ def test_orbit_budget():
         weyl.orbit(weyl.line_record(1, 2), budget=10)
 
 
-@pytest.mark.parametrize("budget", [40.9, "100", True, 36.0])
+@pytest.mark.parametrize("budget", [40.9, "100", True, 36.0, -1, -36])
 def test_orbit_budget_must_be_an_int(budget):
-    # refused, not truncated (int(40.9) would cap the orbit at 40)
-    with pytest.raises(ValueError, match="budget must hold integers"):
+    # refused, not truncated (int(40.9) would cap the orbit at 40); a
+    # negative int is refused too, not read as a cap nothing fits under
+    want = ("budget must not be negative" if type(budget) is int
+            else "budget must hold integers")
+    with pytest.raises(ValueError, match=want):
         weyl.orbit(weyl.line_record(1, 2), budget=budget)
 
 
