@@ -1,10 +1,18 @@
 """Exact graded intersection rings with named cycle bases.
 
 The two rings this package cares about (``cremona.p3.RING`` and
-``cremona.p4.RING``) are finite free Z-modules graded by codimension,
-with multiplication stored as a symmetric table over basis cycles.  This
-module holds the ring-independent machinery: basis labels, sparse classes
-with exact integer coefficients, and table-driven bilinear products.
+``cremona.p4.RING``) are finite free Z-modules graded by codimension.
+This module holds the ring-independent machinery: basis labels, sparse
+classes with exact integer coefficients, and table-driven bilinear
+products.
+
+A ring numbers its basis once, in ``add_basis`` order: ``ring.elems[k]``
+is basis cycle number k and ``ring.index[elem]`` its number.  The product
+table and the compiled images of a linear map are sparse rows of
+(number, coefficient) pairs, so the inner loops of ``mul`` and
+``linear_map`` add into int-keyed dicts; a basis element is hashed once
+per term of an operand and once per term of the result, never per table
+entry.  Classes keep their coefficients keyed by basis elements.
 
 Coefficients are plain Python ints held to the signed 64-bit magnitude
 bound |c| <= INT64_MAX, so silent wraparound in downstream consumers
@@ -22,6 +30,7 @@ from __future__ import annotations
 import functools
 import re
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 INT64_MAX = 2**63 - 1
@@ -109,15 +118,20 @@ class BasisElement:
 def parse_name(name: str) -> tuple[str, tuple[int, ...], int]:
     """Split a display name like ``V012,1`` into (kind, idx, sub).
 
-    Index digits are single characters (all rings here have < 10 points).
+    Index digits are single characters (all rings here have < 10 points);
+    the sub-index is ASCII digits, read by ``ascii_int``.
     """
-    name = name.strip()
+    name = full = name.strip()
     if name == "1":
         return ("one", (), -1)
     sub = -1
     if "," in name:
         name, subtxt = name.split(",", 1)
-        sub = int(subtxt)
+        try:
+            sub = ascii_int(subtxt)
+        except ValueError:
+            raise UnknownSymbolError(
+                f"cannot parse cycle name {full!r}") from None
     kind = name.rstrip("0123456789")
     if not kind:
         raise UnknownSymbolError(f"cannot parse cycle name {name!r}")
@@ -186,16 +200,22 @@ class ChowClass:
         return out[1:] if out.startswith("+") else out
 
 
-def _canonical(ring, grade, acc: dict) -> ChowClass:
+def _canonical(ring, grade, items) -> ChowClass:
+    # items: (basis element, coefficient) pairs with distinct elements
     clean = {}
-    for elem, c in acc.items():
-        if c == 0:
-            continue
-        if abs(c) > INT64_MAX:
-            raise CoefficientOverflowError(
-                f"coefficient {c} of {elem.name} exceeds 64-bit range")
-        clean[elem] = c
+    for elem, c in items:
+        if c:
+            if c > INT64_MAX or c < -INT64_MAX:
+                raise CoefficientOverflowError(
+                    f"coefficient {c} of {elem.name} exceeds 64-bit range")
+            clean[elem] = c
     return ChowClass(ring, grade, clean)
+
+
+def _numbered_class(ring, grade, acc: dict) -> ChowClass:
+    # the class sum of c * ring.elems[k] over acc's (k, c)
+    return _canonical(ring, grade,
+                      zip(map(ring.elems.__getitem__, acc), acc.values()))
 
 
 class ChowRing:
@@ -204,6 +224,12 @@ class ChowRing:
     Built in two phases: ``add_basis``/``set_product``/``add_derived`` while
     constructing, then ``finalize()`` which checks the product table covers
     every basis pair with grade sum <= dim and locks the ring.
+
+    ``elems[k]`` is basis cycle number k, numbered in ``add_basis`` order,
+    and ``index`` maps a basis element (or any element equal to one) back
+    to its number.  The product table is one list of rows by basis number:
+    ``_rows[i][j]`` is the product of cycles i and j as a tuple of
+    (number, coefficient) pairs, or None where no product is stored.
     """
 
     def __init__(self, ring_id: str, dim: int):
@@ -211,10 +237,10 @@ class ChowRing:
         self.dim = dim
         self.basis_by_grade: dict[int, list[BasisElement]] = {
             g: [] for g in range(dim + 1)}
+        self.elems: list[BasisElement] = []
+        self.index: dict[BasisElement, int] = {}
         self._lookup: dict[tuple, BasisElement] = {}
-        self._members: dict[BasisElement, BasisElement] = {}
-        # (a, b) and (b, a) share one entry, so lookups need no ordering
-        self._table: dict[tuple, dict] = {}
+        self._rows: list[list] = []
         self._derived: dict[tuple, "ChowClass"] = {}
         self._final = False
 
@@ -227,29 +253,38 @@ class ChowRing:
         if key in self._lookup:
             raise ValueError(f"duplicate basis element {elem.name}")
         self._lookup[key] = elem
-        self._members[elem] = elem
+        self.index[elem] = len(self.elems)
+        self.elems.append(elem)
+        for row in self._rows:
+            row.append(None)
+        self._rows.append([None] * len(self.elems))
         self.basis_by_grade[grade].append(elem)
         return elem
 
     def set_product(self, a: BasisElement, b: BasisElement, terms):
         """Store a*b (and b*a).  ``terms`` is a list of (elem, coeff)."""
         assert not self._final
+        index = self.index
         acc = {}
         for elem, c in terms:
-            acc[elem] = acc.get(elem, 0) + c
-        self._table[a, b] = self._table[b, a] = {
-            e: c for e, c in acc.items() if c != 0}
+            k = index[elem]
+            acc[k] = acc.get(k, 0) + c
+        i, j = index[a], index[b]
+        self._rows[i][j] = self._rows[j][i] = tuple(
+            (k, c) for k, c in acc.items() if c != 0)
 
     def add_derived(self, kind, idx, sub, cls: ChowClass):
         assert not self._final
         self._derived[(kind, tuple(idx), sub)] = cls
 
     def finalize(self):
+        index = self.index
         for ga in range(1, self.dim + 1):
             for gb in range(ga, self.dim + 1 - ga):
                 for a in self.basis_by_grade[ga]:
+                    row = self._rows[index[a]]
                     for b in self.basis_by_grade[gb]:
-                        if (a, b) not in self._table:
+                        if row[index[b]] is None:
                             raise MissingTableEntryError(
                                 f"no product stored for {a.name} * {b.name}")
         self._final = True
@@ -301,22 +336,22 @@ class ChowRing:
                 raise MixedGradeError(
                     f"{elem.name} has grade {elem.grade}, expected {grade}")
             acc[elem] = acc.get(elem, 0) + c
-        return _canonical(self, grade, acc)
+        return _canonical(self, grade, acc.items())
 
     def cls(self, elem, c=1) -> ChowClass:
         """Single-term convenience constructor."""
         elem = self._coerce(elem)
-        return _canonical(self, elem.grade, {elem: c})
+        return _canonical(self, elem.grade, ((elem, c),))
 
     def _coerce(self, elem) -> BasisElement:
         if isinstance(elem, BasisElement):
             if elem.ring != self.ring_id:
                 raise MixedGradeError(
                     f"{elem.name} belongs to {elem.ring}, not {self.ring_id}")
-            own = self._members.get(elem)
-            if own is None:
+            k = self.index.get(elem)
+            if k is None:
                 raise UnknownBasisError(f"{elem.name} not in {self.ring_id} basis")
-            return own
+            return self.elems[k]
         if isinstance(elem, str):
             kind, idx, sub = parse_name(elem)
             return self.element(kind, idx, sub)
@@ -338,19 +373,33 @@ class ChowRing:
             return scale(y, x.coeff(self.one))
         if y.grade == 0:
             return scale(x, y.coeff(self.one))
-        table = self._table
+        ys = self._numbered(y)
+        rows = self._rows
         acc = {}
-        for ea, ca in x.coeffs.items():
-            for eb, cb in y.coeffs.items():
-                try:
-                    entry = table[ea, eb]
-                except KeyError:
+        for i, ca in self._numbered(x):
+            row = rows[i]
+            for j, cb in ys:
+                entry = row[j]
+                if entry is None:
                     raise MissingTableEntryError(
-                        f"no product stored for {ea.name} * {eb.name}") from None
+                        f"no product stored for {self.elems[i].name} * "
+                        f"{self.elems[j].name}")
                 cab = ca * cb
-                for e, c in entry.items():
-                    acc[e] = acc.get(e, 0) + cab * c
-        return _canonical(self, g, acc)
+                for k, c in entry:
+                    if k in acc:
+                        acc[k] += cab * c
+                    else:
+                        acc[k] = cab * c
+        return _numbered_class(self, g, acc)
+
+    def _numbered(self, x: ChowClass) -> list:
+        # (basis number, coefficient) of each term of x, in x's order
+        index = self.index
+        try:
+            return [(index[e], c) for e, c in x.coeffs.items()]
+        except KeyError as err:
+            raise UnknownBasisError(
+                f"{err.args[0].name} not in {self.ring_id} basis") from None
 
     def degree(self, x: ChowClass) -> int:
         """Coefficient of the point class; defined only in top grade."""
@@ -408,13 +457,14 @@ def add(x: ChowClass, y: ChowClass) -> ChowClass:
     acc = dict(x.coeffs)
     for e, c in y.coeffs.items():
         acc[e] = acc.get(e, 0) + c
-    return _canonical(x.ring, x.grade, acc)
+    return _canonical(x.ring, x.grade, acc.items())
 
 
 def scale(x: ChowClass, c: int) -> ChowClass:
     if c == 1:
         return x
-    return _canonical(x.ring, x.grade, {e: c * v for e, v in x.coeffs.items()})
+    return _canonical(x.ring, x.grade,
+                      [(e, c * v) for e, v in x.coeffs.items()])
 
 
 def mul(x: ChowClass, y: ChowClass) -> ChowClass:
@@ -427,40 +477,88 @@ def degree(x: ChowClass) -> int:
     return x.ring.degree(x)
 
 
-def linear_map(x: ChowClass, images: dict) -> ChowClass:
+def linear_map(x: ChowClass, images) -> ChowClass:
     """Apply a basis-indexed linear map to a class.
 
     ``images[elem]`` is the image class of each basis cycle; all images of
     the cycles present in ``x`` must share one ring and grade (usually
     x.grade, but graded automorphisms are the intended use so it always is
-    here).  The sum of c*images[e] is accumulated in one dict.  Each
-    product c*v and each running sum is held to the 64-bit bound, so this
-    raises CoefficientOverflowError exactly where folding ``add`` over
+    here).  An ``ImageRows`` of x's ring holds its images compiled once;
+    any other mapping's images are compiled on the call.  The sum of
+    c*images[e] is accumulated over basis numbers.  Each product c*v and
+    each running sum is held to the 64-bit bound, so this raises
+    CoefficientOverflowError exactly where folding ``add`` over
     ``scale(images[e], c)`` would.
     """
+    if isinstance(images, ImageRows) and images.ring is x.ring:
+        index, rows = x.ring.index, images.rows
+        terms = [(c, rows[index[e]]) for e, c in x.coeffs.items()]
+    else:
+        terms = ((c, _image_row(images[e])) for e, c in x.coeffs.items())
+    return _map_rows(x, terms)
+
+
+class ImageRows(Mapping):
+    """The images of the basis cycles of one ring under a linear map: a
+    read-only mapping from each basis element to its image class, compiled
+    once for ``linear_map`` into ``rows``, by basis number."""
+
+    __slots__ = ("ring", "rows", "_images")
+
+    def __init__(self, ring: ChowRing, images):
+        self.ring = ring
+        self._images = dict(images)
+        self.rows = [_image_row(self._images[e]) for e in ring.elems]
+
+    def __getitem__(self, elem):
+        return self._images[elem]
+
+    def __iter__(self):
+        return iter(self._images)
+
+    def __len__(self):
+        return len(self._images)
+
+
+def _image_row(img: ChowClass) -> tuple:
+    # (img, its terms as (basis number in img.ring, coefficient) pairs,
+    # the largest |coefficient|)
+    row = tuple(img.ring._numbered(img))
+    return img, row, max((abs(v) for _, v in row), default=0)
+
+
+def _map_rows(x: ChowClass, terms) -> ChowClass:
+    # the kernel of linear_map: terms yields (c, _image_row(image)) for
+    # each term of x, in x's order
     ring = grade = None
     acc = {}
-    for e, c in x.coeffs.items():
-        img = images[e]
+    for c, (img, row, top) in terms:
+        if abs(c) * top > INT64_MAX:
+            # some c*v leaves the range: the fold's scale(img, c) raises
+            # before its add, whatever the grades
+            k, cv = next((k, c * v) for k, v in row if abs(c * v) > INT64_MAX)
+            raise CoefficientOverflowError(
+                f"coefficient {cv} of {img.ring.elems[k].name} "
+                "exceeds 64-bit range")
         if img.ring is not ring or img.grade != grade:
             if ring is not None:
-                scale(img, c)  # the fold checked c*v before the grades
                 raise MixedGradeError(
                     f"cannot add grade {grade} and grade {img.grade} classes")
             ring, grade = img.ring, img.grade
-        for f, v in img.coeffs.items():
-            cv = c * v
-            if abs(cv) > INT64_MAX:
-                raise CoefficientOverflowError(
-                    f"coefficient {cv} of {f.name} exceeds 64-bit range")
-            total = acc.get(f, 0) + cv
-            if abs(total) > INT64_MAX:
-                raise CoefficientOverflowError(
-                    f"coefficient {total} of {f.name} exceeds 64-bit range")
-            acc[f] = total
+        # every c*v is in range, so only sums need the check
+        for k, v in row:
+            if k in acc:
+                total = acc[k] + c * v
+                if total > INT64_MAX or total < -INT64_MAX:
+                    raise CoefficientOverflowError(
+                        f"coefficient {total} of {ring.elems[k].name} "
+                        "exceeds 64-bit range")
+                acc[k] = total
+            else:
+                acc[k] = c * v
     if ring is None:
         return x.ring.zero(x.grade)
-    return _canonical(ring, grade, acc)
+    return _numbered_class(ring, grade, acc)
 
 
 def int_tuple(values, n, what):
@@ -521,24 +619,30 @@ def record_layout(ring, lead, *fields):
     named by the symbol ``lead``, and each field, given as (sign, symbols),
     lists sign * coefficient of the cycles those symbols name, in order.
     A symbol is a (kind[, idx[, sub]]) tuple for ``ChowRing.element``.
+    The layout holds the ring's own basis elements.
     """
-    return (ring.element(*lead),) + tuple(
+    return (ring, ring.element(*lead), tuple(
         (sign, tuple(ring.element(*sym) for sym in syms))
-        for sign, syms in fields)
+        for sign, syms in fields))
 
 
-def record_terms(layout, d, *fields):
-    """(cycle, coefficient) pairs of the record (d, *fields)."""
-    lead, *rest = layout
-    terms = [(lead, d)]
+def record_class(layout, d, *fields):
+    """The class of the record (d, *fields).
+
+    Its coefficients sit on the layout's own ring elements, which are
+    distinct and of one grade, so no term needs the per-term check of
+    ``make_class``; only the 64-bit bound is checked.
+    """
+    ring, lead, rest = layout
+    items = [(lead, d)]
     for (sign, elems), values in zip(rest, fields):
-        terms += zip(elems, [sign * v for v in values])
-    return terms
+        items += zip(elems, [sign * v for v in values])
+    return _canonical(ring, lead.grade, items)
 
 
 def record_entries(x, layout):
     """(d, *fields) of the record whose class is x."""
     get = x.coeffs.get
-    lead, *rest = layout
+    _, lead, rest = layout
     return (get(lead, 0),) + tuple(
         tuple(sign * get(e, 0) for e in elems) for sign, elems in rest)

@@ -229,12 +229,11 @@ def builtin_seed(kind, s):
 
 
 def write_cache(path, members):
-    lines = []
-    for rec in members:
-        doc = json.dumps(record_to_json(rec), sort_keys=True,
-                         separators=(",", ":"))
-        lines.append(f"{weyl.record_tag(rec)}\t{doc}")
-    lines.sort()
+    # one encoder for every member: json.dumps with these options builds
+    # a new one per call
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    lines = sorted(f"{weyl.record_tag(rec)}\t{encode(record_to_json(rec))}"
+                   for rec in members)
     try:
         with open(path, "w") as fh:
             fh.write(CACHE_HEADER + "\n")

@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .chow import (ChowClass, ChowRing, WrongGradeError, build_once,
-                   int_tuple, linear_map, record_entries, record_layout,
-                   record_terms)
+from .chow import (ChowClass, ChowRing, ImageRows, WrongGradeError,
+                   build_once, int_tuple, linear_map, record_class,
+                   record_entries, record_layout)
 
 POINTS = tuple(range(4))
 PAIRS = tuple(combinations(POINTS, 2))
@@ -125,7 +125,7 @@ class _Tables:
 
     def __init__(self):
         R = self.ring = _build_ring()
-        self.involution = _involution_images(R)
+        self.involution = ImageRows(R, _involution_images(R))
         self.divisor = record_layout(R, ("H",),
                                      (-1, [("E", (i,)) for i in POINTS]),
                                      (-1, [("E", q) for q in PAIRS]))
@@ -179,8 +179,7 @@ class P3Curve(_P3Record):
 
 
 def divisor_class(D: P3Divisor) -> ChowClass:
-    tab = _tables()
-    return tab.ring.make_class(1, record_terms(tab.divisor, D.d, D.m, D.nl))
+    return record_class(_tables().divisor, D.d, D.m, D.nl)
 
 
 def divisor_from_class(x: ChowClass) -> P3Divisor:
@@ -191,8 +190,7 @@ def divisor_from_class(x: ChowClass) -> P3Divisor:
 
 
 def curve_class(C: P3Curve) -> ChowClass:
-    tab = _tables()
-    return tab.ring.make_class(2, record_terms(tab.curve, C.d, C.m, C.nl))
+    return record_class(_tables().curve, C.d, C.m, C.nl)
 
 
 def curve_from_class(x: ChowClass) -> P3Curve:

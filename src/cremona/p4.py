@@ -36,9 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .chow import (ChowClass, ChowRing, WrongGradeError, build_once,
-                   int_tuple, linear_map, record_entries, record_layout,
-                   record_terms)
+from .chow import (ChowClass, ChowRing, ImageRows, WrongGradeError,
+                   build_once, int_tuple, linear_map, record_class,
+                   record_entries, record_layout)
 
 POINTS = tuple(range(5))
 PAIRS = tuple(combinations(POINTS, 2))
@@ -349,7 +349,7 @@ class _Tables:
 
     def __init__(self):
         R = self.ring = _build_ring()
-        self.involution = _involution_images(R)
+        self.involution = ImageRows(R, _involution_images(R))
         self.divisor = record_layout(R, ("H",),
                                      (-1, [("E", (i,)) for i in POINTS]),
                                      (-1, [("E", q) for q in PAIRS]),
@@ -438,9 +438,7 @@ class P4Surface:
 
 
 def divisor_class(D: P4Divisor) -> ChowClass:
-    tab = _tables()
-    return tab.ring.make_class(
-        1, record_terms(tab.divisor, D.d, D.m, D.ml, D.mp))
+    return record_class(_tables().divisor, D.d, D.m, D.ml, D.mp)
 
 
 def divisor_from_class(x: ChowClass) -> P4Divisor:
@@ -451,9 +449,7 @@ def divisor_from_class(x: ChowClass) -> P4Divisor:
 
 
 def curve_class(C: P4Curve) -> ChowClass:
-    tab = _tables()
-    return tab.ring.make_class(
-        3, record_terms(tab.curve, C.d, C.m, C.ml, C.mp))
+    return record_class(_tables().curve, C.d, C.m, C.ml, C.mp)
 
 
 def curve_from_class(x: ChowClass) -> P4Curve:
@@ -464,9 +460,8 @@ def curve_from_class(x: ChowClass) -> P4Curve:
 
 
 def surface_class(T: P4Surface) -> ChowClass:
-    tab = _tables()
-    return tab.ring.make_class(2, record_terms(
-        tab.surface, T.d, T.m, T.ml, T.nl, T.mp, T.np))
+    return record_class(_tables().surface,
+                        T.d, T.m, T.ml, T.nl, T.mp, T.np)
 
 
 def surface_from_class(x: ChowClass) -> P4Surface:

@@ -270,15 +270,31 @@ def apply_perm(rec, perm):
     """Relabel the points of a record."""
     if perm.s != rec.s:
         raise ValueError(f"permutation of {perm.s} labels on an s={rec.s} record")
+    if not isinstance(rec, (_PointRecord, SurfaceRecord)):
+        raise TypeError(f"not a record: {rec!r}")
+    return _relabel(rec, perm.image)
+
+
+def _relabel(rec, image):
+    # rec with point i moved to image[i-1], for a permutation image of its
+    # s labels; rec passed the record checks and a relabeling keeps every
+    # entry an int in a live slot, so the result skips them
     if isinstance(rec, _PointRecord):
         m = [0] * rec.s
-        for i in range(1, rec.s + 1):
-            m[perm(i) - 1] = rec.m[i - 1]
-        return type(rec)(rec.s, rec.d, tuple(m))
-    if isinstance(rec, SurfaceRecord):
-        return SurfaceRecord(rec.s, rec.d,
-                             *_permuted_surface_data(rec, perm.image))
-    raise TypeError(f"not a record: {rec!r}")
+        for i, v in enumerate(image):
+            m[v - 1] = rec.m[i]
+        return _prechecked(type(rec), rec.s, rec.d, tuple(m))
+    return _prechecked(SurfaceRecord, rec.s, rec.d,
+                       *_permuted_surface_data(rec, image))
+
+
+def _prechecked(cls, *values):
+    # an instance of the frozen dataclass cls (a record or a Perm) from
+    # field values that are already known to pass its __post_init__ checks
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def apply_cremona5(rec, centers):
@@ -687,10 +703,11 @@ def orbit(seed, budget=None):
             for member in frontier:
                 sig = reached[member]
                 for tau in swaps:
-                    child = apply_perm(member, tau)
+                    child = _relabel(member, tau.image)
                     if child in reached:
                         continue
-                    comp = Perm(tuple(tau.image[v - 1] for v in sig.image))
+                    comp = _prechecked(
+                        Perm, tuple(tau.image[v - 1] for v in sig.image))
                     reached[child] = comp
                     witnesses[child] = stem + (comp,)
                     if len(witnesses) > cap:

@@ -79,6 +79,28 @@ def test_basis_element_built_outside_the_ring(ring):
         [o < f for o in outside for f in outside[:8]]
 
 
+@pytest.mark.parametrize("mod", MODULES, ids=("X3", "X4"))
+def test_public_class_on_an_equal_element_built_outside(mod):
+    # the ring finds a basis number through its index, by equality, so a
+    # class holding an outside copy of a basis cycle computes like one
+    # holding the ring's own
+    ring = mod.RING
+    for e in ring.basis():
+        outside = chow.BasisElement(e.ring, e.grade, e.kind, e.idx, e.sub)
+        assert outside is not e and outside == e
+        theirs = chow.ChowClass(ring, e.grade, {outside: 3})
+        ours = ring.cls(e, 3)
+        results = [(mod.cremona(theirs), mod.cremona(ours)),
+                   (chow.linear_map(theirs, mod._INVOLUTION),
+                    chow.linear_map(ours, mod._INVOLUTION))]
+        for f in ring.basis():
+            if e.grade + f.grade <= ring.dim:
+                g = ring.cls(f, -2)
+                results += [(theirs * g, ours * g), (g * theirs, g * ours)]
+        for got, want in results:
+            assert got == want
+
+
 def test_basis_elements_unpickled_under_another_hash_seed():
     # the stored hash must follow the string hashing of the loading process
     dump = ("import pickle, sys; from cremona import p4; "
@@ -184,6 +206,44 @@ def test_linear_map_refuses_images_of_two_grades_or_rings():
     x = p4.RING.make_class(1, [("H", 1), ("E0", 4)])
     assert_both_raise(chow.CoefficientOverflowError, x,
                       {H: p4.RING.cls("H"), E0: p4.RING.cls("S", 2**62)})
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except chow.ChowError as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("mod", MODULES, ids=("X3", "X4"))
+def test_error_parity_near_the_bound(mod):
+    # seeded classes whose coefficients sit near the bound: products,
+    # running sums and final coefficients leave the range on some of them,
+    # under the compiled involution, the same images as a dict, and a dict
+    # in which one cycle's image has the next grade
+    ring, rng = mod.RING, random.Random(13)
+    plain = dict(mod._INVOLUTION)
+    with pytest.raises(TypeError):
+        mod._INVOLUTION[ring.one] = ring.cls(ring.one, 2)
+    seen = set()
+    for g in range(1, ring.dim):
+        basis = list(ring.basis(g))
+        odd = dict(plain)
+        odd[basis[-1]] = ring.cls(next(ring.basis(g + 1)), 3)
+        for _ in range(150):
+            x = ring.make_class(g, [
+                (e, rng.choice((-1, 1)) * rng.randint(2**58, 2**62))
+                for e in rng.sample(basis, rng.randint(1, 5))])
+            want = outcome(fold_linear_map, x, mod._INVOLUTION)
+            assert outcome(mod.cremona, x) == want
+            assert outcome(chow.linear_map, x, mod._INVOLUTION) == want
+            assert outcome(chow.linear_map, x, plain) == want
+            want_odd = outcome(fold_linear_map, x, odd)
+            assert outcome(chow.linear_map, x, odd) == want_odd
+            seen |= {want if isinstance(want, type) else chow.ChowClass,
+                     want_odd if isinstance(want_odd, type) else chow.ChowClass}
+    assert seen == {chow.ChowClass, chow.CoefficientOverflowError,
+                    chow.MixedGradeError}
 
 
 def test_linear_map_of_zero_is_zero_of_its_grade():

@@ -89,6 +89,23 @@ def test_orbit_cache_is_byte_stable(capsys, tmp_path):
         assert weyl.record_tag(rec) == tag
 
 
+def test_cache_lines_are_compact_sorted_json(tmp_path):
+    # one encoder for all members writes what one json.dumps per member did
+    members = weyl.weyl_divisors(8) + weyl.weyl_planes(7)
+    path = tmp_path / "c.txt"
+    cli.write_cache(path, members)
+    want = sorted(
+        weyl.record_tag(r) + "\t" + json.dumps(
+            cli.record_to_json(r), sort_keys=True, separators=(",", ":"))
+        for r in members)
+    text = path.read_text()
+    got = text.splitlines()
+    assert text.endswith("\n") and got[0] == cli.CACHE_HEADER
+    assert len(got) == len(want) + 1
+    # the numbers of the differing lines: a diff of 2000 lines takes minutes
+    assert [i for i, (g, w) in enumerate(zip(got[1:], want)) if g != w] == []
+
+
 def test_orbit_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("CREMONA_ORBIT_BUDGET", "10")
     rc, _, err = run(capsys, "orbit", "--kind", "plane")
@@ -325,6 +342,18 @@ def test_chow_coefficients_must_be_integers(capsys, tmp_path):
         a = chow_file(tmp_path / "a.json", "x4", terms, grade)
         rc, out, err = run(capsys, "mul", "--ring", "x4", "--a", a, "--b", a)
         assert rc == 2 and out == "" and f"{bad} must be an integer" in err
+
+
+@pytest.mark.parametrize("name", ["V123,+3", "V123, 3", "V123,٣"])
+def test_chow_sub_index_is_an_ascii_integer(capsys, tmp_path, name):
+    # int() read each of these as V123,3 and exited 0
+    b = chow_file(tmp_path / "b.json", "x4", {"E3": 1})
+    a = chow_file(tmp_path / "a.json", "x4", {"V123,3": 1})
+    rc, out, _ = run(capsys, "mul", "--ring", "x4", "--a", a, "--b", b)
+    assert rc == 0 and json.loads(out)["terms"] == {"f123": -1}
+    a = chow_file(tmp_path / "a.json", "x4", {name: 1})
+    rc, out, err = run(capsys, "mul", "--ring", "x4", "--a", a, "--b", b)
+    assert rc == 2 and out == "" and repr(name) in err
 
 
 def test_chow_document_must_be_an_object(capsys, tmp_path):

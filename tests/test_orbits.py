@@ -2,6 +2,7 @@
 member counts, censuses, witnesses, closure, budget handling."""
 
 from collections import Counter
+from dataclasses import astuple
 from itertools import combinations
 from math import factorial
 
@@ -169,6 +170,19 @@ def test_divisor_witnesses_reach_every_member():
     assert set(res.witnesses) == set(res.members)
     for member, word in res.witnesses.items():
         assert weyl.apply_word(res.seed, word) == member
+
+
+def test_labeled_members_pass_the_record_checks():
+    # the labeled expansion relabels without rerunning the entry checks;
+    # every member and witness relabeling equals its strict rebuild
+    for res in (weyl.divisor_orbit(8), weyl.plane_orbit(7),
+                weyl.line_orbit(6)):
+        for member, word in res.witnesses.items():
+            assert type(member)(*astuple(member)) == member
+            for gen in word:
+                if isinstance(gen, weyl.Perm):
+                    assert weyl.Perm(gen.image) == gen
+                    assert type(gen.image) is tuple
 
 
 def test_members_closed_under_generators():
