@@ -81,8 +81,8 @@ class BasisElement:
     kind: str
     idx: tuple[int, ...] = ()
     sub: int = -1
-    # computed once: every dict probe on a class or the product table
-    # hashes its keys
+    # computed once: every dict probe on a class or on a ring's index
+    # hashes its key
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -119,7 +119,8 @@ def parse_name(name: str) -> tuple[str, tuple[int, ...], int]:
     """Split a display name like ``V012,1`` into (kind, idx, sub).
 
     Index digits are single characters (all rings here have < 10 points);
-    the sub-index is ASCII digits, read by ``ascii_int``.
+    the sub-index is a point label in ASCII digits, read by ``ascii_int``
+    and never negative (-1 is what a name without one gets).
     """
     name = full = name.strip()
     if name == "1":
@@ -130,8 +131,9 @@ def parse_name(name: str) -> tuple[str, tuple[int, ...], int]:
         try:
             sub = ascii_int(subtxt)
         except ValueError:
-            raise UnknownSymbolError(
-                f"cannot parse cycle name {full!r}") from None
+            sub = -1
+        if sub < 0:
+            raise UnknownSymbolError(f"cannot parse cycle name {full!r}")
     kind = name.rstrip("0123456789")
     if not kind:
         raise UnknownSymbolError(f"cannot parse cycle name {name!r}")

@@ -164,6 +164,8 @@ def _shift_name(name, delta):
     kind, idx, sub = chow.parse_name(name)
     if kind == "one":
         return "1"
+    if sub >= 0 and sub + delta < 0:
+        raise chow.UnknownSymbolError(f"cannot parse cycle name {name!r}")
     out = kind + "".join(str(i + delta) for i in idx)
     if sub >= 0:
         out += f",{sub + delta}"

@@ -61,6 +61,10 @@ def test_parse_name_examples():
     assert chow.parse_name("E01") == ("E", (0, 1), -1)
     assert chow.parse_name("V012,1") == ("V", (0, 1, 2), 1)
     assert chow.parse_name("1") == ("one", (), -1)
+    for bad in ("V012,+1", "V012, 1", "V012,\u0661", "V012,1_0", "H,-1",
+                "V012,"):
+        with pytest.raises(chow.UnknownSymbolError, match="V012|H,-1"):
+            chow.parse_name(bad)
 
 
 def test_add_and_scale():

@@ -344,9 +344,11 @@ def test_chow_coefficients_must_be_integers(capsys, tmp_path):
         assert rc == 2 and out == "" and f"{bad} must be an integer" in err
 
 
-@pytest.mark.parametrize("name", ["V123,+3", "V123, 3", "V123,٣"])
+@pytest.mark.parametrize("name", ["V123,+3", "V123, 3", "V123,٣", "H,0",
+                                  "H,-1", "V123,-3"])
 def test_chow_sub_index_is_an_ascii_integer(capsys, tmp_path, name):
-    # int() read each of these as V123,3 and exited 0
+    # int() read the first three as V123,3 and the two H terms as H, all
+    # with exit 0; a sub-index is a 1-based point label
     b = chow_file(tmp_path / "b.json", "x4", {"E3": 1})
     a = chow_file(tmp_path / "a.json", "x4", {"V123,3": 1})
     rc, out, _ = run(capsys, "mul", "--ring", "x4", "--a", a, "--b", b)
