@@ -68,6 +68,10 @@ class CoefficientOverflowError(ChowError):
     """A coefficient left the checked 64-bit range."""
 
 
+class FinalizedRingError(ChowError):
+    """The ring is finalized: its basis, products and symbols are fixed."""
+
+
 @dataclass(frozen=True, order=True)
 class BasisElement:
     """A named basis cycle: ring id, grade, kind tag, sorted index set.
@@ -249,7 +253,7 @@ class ChowRing:
     # -- construction ------------------------------------------------
 
     def add_basis(self, grade, kind, idx=(), sub=-1) -> BasisElement:
-        assert not self._final
+        self._check_open()
         elem = BasisElement(self.ring_id, grade, kind, tuple(idx), sub)
         key = (kind, tuple(idx), sub)
         if key in self._lookup:
@@ -265,7 +269,7 @@ class ChowRing:
 
     def set_product(self, a: BasisElement, b: BasisElement, terms):
         """Store a*b (and b*a).  ``terms`` is a list of (elem, coeff)."""
-        assert not self._final
+        self._check_open()
         index = self.index
         acc = {}
         for elem, c in terms:
@@ -276,8 +280,14 @@ class ChowRing:
             (k, c) for k, c in acc.items() if c != 0)
 
     def add_derived(self, kind, idx, sub, cls: ChowClass):
-        assert not self._final
+        self._check_open()
         self._derived[(kind, tuple(idx), sub)] = cls
+
+    def _check_open(self):
+        # a real check, not an assert: python -O must not let a caller
+        # rewrite the table of a shared, finalized ring
+        if self._final:
+            raise FinalizedRingError(f"ring {self.ring_id} is finalized")
 
     def finalize(self):
         index = self.index

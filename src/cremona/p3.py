@@ -148,6 +148,23 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+class _Slots:
+    """Where the record maps read their entries, looked up once, as slot
+    numbers: per point, the pairs that avoid it; per pair, its
+    complementary pair (slot, points)."""
+
+    def __init__(self):
+        self.pairs_away = tuple(
+            tuple(a for a, q in enumerate(PAIRS) if i not in q)
+            for i in POINTS)
+        self.by_pair = tuple((PAIR_SLOT[q], q)
+                             for q in map(pair_complement, PAIRS))
+
+
+# built on first use, apart from the ring: a record map never reads it
+_slots = build_once(_Slots)
+
+
 def cremona(x: ChowClass) -> ChowClass:
     """Lifted standard Cremona involution of P^3, as a ring automorphism."""
     tab = _tables()
@@ -202,14 +219,13 @@ def curve_from_class(x: ChowClass) -> P3Curve:
 
 def cremona_divisor(D: P3Divisor) -> P3Divisor:
     """Cremona image of a divisor record; involutive."""
-    tot = sum(D.m)
-    d2 = 3 * D.d - tot
-    m2 = tuple(2 * D.d - (tot - mi) for mi in D.m)
-    nl2 = []
-    for q in PAIRS:
-        k, m = pair_complement(q)
-        nl2.append(D.d + D.nl[PAIR_SLOT[(k, m)]] - D.m[k] - D.m[m])
-    return P3Divisor(d2, m2, tuple(nl2))
+    tab = _slots()
+    d, m, nl = D.d, D.m, D.nl
+    tot = sum(m)
+    m2 = tuple([2 * d - tot + x for x in m])
+    # n' at a pair reads its complementary pair (i, j)
+    nl2 = tuple([d + nl[a] - m[i] - m[j] for a, (i, j) in tab.by_pair])
+    return P3Divisor(3 * d - tot, m2, nl2)
 
 
 def cremona_curve(C: P3Curve) -> P3Curve:
@@ -218,14 +234,13 @@ def cremona_curve(C: P3Curve) -> P3Curve:
     With all n_ij = 0 this restricts to the multiplicity-only rule
     d' = 3d - 2*sum(m), m_i' = d - sum of the other three.
     """
-    tot = sum(C.m)
-    d2 = 3 * C.d - 2 * tot - sum(C.nl)
-    m2 = []
-    for i in POINTS:
-        away = sum(C.nl[a] for a, q in enumerate(PAIRS) if i not in q)
-        m2.append(C.d - (tot - C.m[i]) - away)
-    nl2 = tuple(C.nl[PAIR_SLOT[pair_complement(q)]] for q in PAIRS)
-    return P3Curve(d2, tuple(m2), nl2)
+    tab = _slots()
+    d, m, nl = C.d, C.m, C.nl
+    tot = sum(m)
+    m2 = tuple([d - tot + x - sum([nl[a] for a in pairs])
+                for x, pairs in zip(m, tab.pairs_away)])
+    nl2 = tuple([nl[a] for a, _ in tab.by_pair])
+    return P3Curve(3 * d - 2 * tot - sum(nl), m2, nl2)
 
 
 def normalize(terms) -> ChowClass:

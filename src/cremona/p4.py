@@ -380,6 +380,33 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+class _Slots:
+    """Where the record maps read their entries, looked up once, as slot
+    numbers: per point, the pairs and the triples that avoid it; per
+    pair, its complementary triple t (slot, points, pairs within t); per
+    triple, its complementary pair q (slot, points, and the V slots
+    (q + w, w) for w in the triple)."""
+
+    def __init__(self):
+        self.pairs_away = tuple(
+            tuple(a for a, q in enumerate(PAIRS) if i not in q)
+            for i in POINTS)
+        self.triples_away = tuple(
+            tuple(b for b, t in enumerate(TRIPLES) if i not in t)
+            for i in POINTS)
+        self.by_pair = tuple(
+            (TRIPLE_SLOT[t], t, tuple(PAIR_SLOT[r] for r in _pairs_within(t)))
+            for t in map(pair_complement, PAIRS))
+        self.by_triple = tuple(
+            (PAIR_SLOT[q], q,
+             tuple(V_SLOT[(tuple(sorted(q + (w,))), w)] for w in t))
+            for t, q in zip(TRIPLES, map(triple_complement, TRIPLES)))
+
+
+# built on first use, apart from the ring: a record map never reads it
+_slots = build_once(_Slots)
+
+
 def cremona(x: ChowClass) -> ChowClass:
     """Lifted standard Cremona involution of P^4, as a ring automorphism."""
     tab = _tables()
@@ -473,78 +500,60 @@ def surface_from_class(x: ChowClass) -> P4Surface:
 
 def cremona_divisor(D: P4Divisor) -> P4Divisor:
     """Cremona image of a divisor record; involutive."""
-    tot = sum(D.m)
-    d2 = 4 * D.d - tot
-    m2 = tuple(3 * D.d - (tot - D.m[i]) for i in POINTS)
-    ml2 = []
-    for q in PAIRS:
-        t = pair_complement(q)
-        ml2.append(2 * D.d - sum(D.m[r] for r in t) + D.mp[TRIPLE_SLOT[t]])
-    mp2 = []
-    for t in TRIPLES:
-        q = triple_complement(t)
-        mp2.append(D.d - sum(D.m[r] for r in q) + D.ml[PAIR_SLOT[q]])
-    return P4Divisor(d2, m2, tuple(ml2), tuple(mp2))
+    tab = _slots()
+    d, m, ml, mp = D.d, D.m, D.ml, D.mp
+    tot = sum(m)
+    m2 = tuple([3 * d - tot + x for x in m])
+    # ml' at a pair reads its complementary triple, mp' the reverse
+    ml2 = tuple([2 * d - sum([m[r] for r in t]) + mp[b]
+                 for b, t, _ in tab.by_pair])
+    mp2 = tuple([d - sum([m[r] for r in q]) + ml[a]
+                 for a, q, _ in tab.by_triple])
+    return P4Divisor(4 * d - tot, m2, ml2, mp2)
 
 
 def cremona_curve(C: P4Curve) -> P4Curve:
     """Cremona image of a curve record; involutive."""
-    tot = sum(C.m)
-    d2 = 4 * C.d - 3 * tot - 2 * sum(C.ml) - sum(C.mp)
-    m2 = []
-    for i in POINTS:
-        away_l = sum(C.ml[a] for a, q in enumerate(PAIRS) if i not in q)
-        away_p = sum(C.mp[a] for a, t in enumerate(TRIPLES) if i not in t)
-        m2.append(C.d - (tot - C.m[i]) - away_l - away_p)
-    ml2 = tuple(C.mp[TRIPLE_SLOT[pair_complement(q)]] for q in PAIRS)
-    mp2 = tuple(C.ml[PAIR_SLOT[triple_complement(t)]] for t in TRIPLES)
-    return P4Curve(d2, tuple(m2), ml2, mp2)
+    tab = _slots()
+    d, m, ml, mp = C.d, C.m, C.ml, C.mp
+    tot = sum(m)
+    d2 = 4 * d - 3 * tot - 2 * sum(ml) - sum(mp)
+    m2 = tuple([d - tot + x - sum([ml[a] for a in pairs])
+                - sum([mp[b] for b in triples])
+                for x, pairs, triples
+                in zip(m, tab.pairs_away, tab.triples_away)])
+    ml2 = tuple([mp[b] for b, _, _ in tab.by_pair])
+    mp2 = tuple([ml[a] for a, _, _ in tab.by_triple])
+    return P4Curve(d2, m2, ml2, mp2)
 
 
 def cremona_surface(T: P4Surface) -> P4Surface:
     """Cremona image of a surface record; involutive."""
-    mln = [T.ml[a] - T.nl[a] for a in range(10)]
-    brk = {}
-    for t in TRIPLES:
-        for w in t:
-            u, v = (c for c in t if c != w)
-            # contributions of the form mp - np_u - np_v read at pair (u,v)
-            brk[(t, (u, v))] = (T.mp[TRIPLE_SLOT[t]]
-                                - T.np[V_SLOT[(t, u)]] - T.np[V_SLOT[(t, v)]])
-
-    d2 = 6 * T.d - 3 * sum(T.m) + sum(mln)
-    m2 = []
-    for i in POINTS:
-        s = 3 * T.d - 2 * (sum(T.m) - T.m[i])
-        s += sum(mln[a] for a, q in enumerate(PAIRS) if i not in q)
-        m2.append(s)
-
+    tab = _slots()
+    d, m, ml, nl, mp, np = T.d, T.m, T.ml, T.nl, T.mp, T.np
+    tot = sum(m)
+    mln = [x - y for x, y in zip(ml, nl)]
+    m2 = tuple([3 * d - 2 * tot + 2 * x + sum([mln[a] for a in pairs])
+                for x, pairs in zip(m, tab.pairs_away)])
+    # per triple t (V slots 3t, 3t + 1, 3t + 2): mp_t minus its three V
+    # entries; brk at the V slot (t, w) adds back np_t,w, which leaves
+    # mp_t - np_t,u - np_t,v for the other two members u, v of t
+    rest = [mp[b] - sum(np[3 * b:3 * b + 3]) for b in range(10)]
+    brk = [rest[v // 3] + x for v, x in enumerate(np)]
     ml2, nl2 = [], []
-    for q in PAIRS:
-        t = pair_complement(q)
-        r, s, u = t
-        vsum = sum(T.np[V_SLOT[(t, w)]] for w in t)
-        ml2.append(T.d - T.m[r] - T.m[s] - T.m[u]
-                   + sum(mln[PAIR_SLOT[rr]] for rr in _pairs_within(t))
-                   + 2 * T.mp[TRIPLE_SLOT[t]] - vsum)
-        nl2.append(2 * T.mp[TRIPLE_SLOT[t]] - vsum)
-
-    mp2, np2 = [], [0] * 30
-    for t in TRIPLES:
-        q = triple_complement(t)
-        r, s = q
-        total = 0
-        for w in t:
-            tw = tuple(sorted((r, s, w)))
-            total += brk[(tw, q)]
-        mp2.append(2 * T.nl[PAIR_SLOT[q]] - total)
-        for w in t:
-            u, v = (c for c in t if c != w)
-            tu = tuple(sorted((r, s, u)))
-            tv = tuple(sorted((r, s, v)))
-            np2[V_SLOT[(t, w)]] = (T.nl[PAIR_SLOT[q]]
-                                   - brk[(tu, q)] - brk[(tv, q)])
-    return P4Surface(d2, tuple(m2), tuple(ml2), tuple(nl2),
+    for b, t, t_pairs in tab.by_pair:
+        contact = mp[b] + rest[b]
+        nl2.append(contact)
+        ml2.append(d - sum([m[r] for r in t])
+                   + sum([mln[a] for a in t_pairs]) + contact)
+    mp2, np2 = [], []
+    for a, _, q_brk in tab.by_triple:
+        # the brackets of the triples q + w, w in t, read at the pair q
+        parts = [brk[v] for v in q_brk]
+        top = nl[a] - sum(parts)
+        mp2.append(top + nl[a])
+        np2.extend([top + x for x in parts])
+    return P4Surface(6 * d - 3 * tot + sum(mln), m2, tuple(ml2), tuple(nl2),
                      tuple(mp2), tuple(np2))
 
 

@@ -135,14 +135,12 @@ class SurfaceRecord:
                 raise ValueError(f"line L_{i}{j} does not exist for s={self.s}")
 
     def line(self, i, j):
-        """Multiplicity along the line L_ij."""
-        if i == j:
-            raise ValueError("a line needs two distinct points")
-        a, b = (i, j) if i < j else (j, i)
-        return self.mline[PAIR_POS[(a, b)]]
+        """Multiplicity along the line L_ij, for labels i != j in 1..8."""
+        return self.mline[PAIR_POS[_check_labels((i, j), 8, 2)]]
 
     def quartic(self, k):
-        """Multiplicity along the quartic Q_k."""
+        """Multiplicity along the quartic Q_k, for a label k in 1..8."""
+        k, = _check_labels((k,), 8, 1)
         return self.n[k - 1]
 
 
@@ -241,29 +239,46 @@ def cremona5_surface(rec, centers):
     endpoint are fixed; the three lines between non-center labels trade
     places with the three quartic slots of the complement (L_ij maps to
     Q_k and back, for {i,j,k} the complement of the centers in 1..8).
+    The slots each formula reads come from the center set's table.
     """
     c = _check_centers(rec.s, centers)
-    m, n, ml = rec.m, rec.n, rec.mline
-    mtot = sum(m[i - 1] for i in c)
-    ltot = sum(ml[PAIR_POS[q]] for q in combinations(c, 2))
-    d2 = 6 * rec.d - 3 * mtot + ltot
+    points, center_lines, by_center, by_pair, swaps = _surface_slots(c)
+    d, m, n, ml = rec.d, rec.m, rec.n, rec.mline
+    mtot = sum([m[i] for i in points])
     m2, n2, ml2 = list(m), list(n), list(ml)
-    for i in c:
-        rest = [r for r in c if r != i]
-        lsum = sum(ml[PAIR_POS[q]] for q in combinations(rest, 2))
-        m2[i - 1] = 3 * rec.d - 2 * (mtot - m[i - 1]) + lsum
+    base = 3 * d - 2 * mtot
+    for i, others in by_center:
+        m2[i] = base + 2 * m[i] + sum([ml[x] for x in others])
+    for slot, rest, rest_lines in by_pair:
+        ml2[slot] = (d - sum([m[r] for r in rest])
+                     + sum([ml[x] for x in rest_lines]))
+    for line, k in swaps:
+        ml2[line], n2[k] = n[k], ml[line]
+    d2 = 6 * d - 3 * mtot + sum([ml[x] for x in center_lines])
+    return SurfaceRecord(rec.s, d2, tuple(m2), tuple(n2), tuple(ml2))
+
+
+@lru_cache(maxsize=None)
+def _surface_slots(c):
+    # the slot table of cremona5_surface for the sorted centers c, built on
+    # first use (at most 56 of them), in 0-based m/n positions and
+    # mline slots: the five centers; the ten center-pair lines; per center,
+    # its position and the six lines among the other four; per center pair,
+    # its slot, the other three centers and the three lines among them;
+    # the (line, quartic) swaps L_ab <-> Q_k of the complement {a, b, k}
+    def lines(pts):
+        return tuple(PAIR_POS[q] for q in combinations(pts, 2))
+
+    by_center = tuple((i - 1, lines([r for r in c if r != i])) for i in c)
+    by_pair = []
     for q in combinations(c, 2):
         rest = [r for r in c if r not in q]
-        lsum = sum(ml[PAIR_POS[p]] for p in combinations(rest, 2))
-        ml2[PAIR_POS[q]] = rec.d - sum(m[r - 1] for r in rest) + lsum
+        by_pair.append((PAIR_POS[q], tuple(r - 1 for r in rest), lines(rest)))
     a, b, k = (x for x in range(1, 9) if x not in c)
-    ml2[PAIR_POS[(a, b)]] = n[k - 1]
-    ml2[PAIR_POS[(a, k)]] = n[b - 1]
-    ml2[PAIR_POS[(b, k)]] = n[a - 1]
-    n2[a - 1] = ml[PAIR_POS[(b, k)]]
-    n2[b - 1] = ml[PAIR_POS[(a, k)]]
-    n2[k - 1] = ml[PAIR_POS[(a, b)]]
-    return SurfaceRecord(rec.s, d2, tuple(m2), tuple(n2), tuple(ml2))
+    swaps = ((PAIR_POS[(a, b)], k - 1), (PAIR_POS[(a, k)], b - 1),
+             (PAIR_POS[(b, k)], a - 1))
+    return (tuple(i - 1 for i in c), lines(c), by_center, tuple(by_pair),
+            swaps)
 
 
 def apply_perm(rec, perm):
@@ -345,11 +360,12 @@ def invert_word(word):
 # -- canonical labeling ------------------------------------------------
 
 def _perm_from_order(order, s):
-    # order[p-1] = the old label that should land at position p
+    # order[p-1] = the old label that should land at position p; order is
+    # an ordering of 1..s computed here, so the Perm checks are skipped
     image = [0] * s
     for pos, i in enumerate(order, start=1):
         image[i - 1] = pos
-    return Perm(tuple(image))
+    return _prechecked(Perm, tuple(image))
 
 
 def canonical_form(rec):
@@ -411,8 +427,7 @@ def canonical_form(rec):
             walk(bi, [w for w in rem if w != u], chosen + [u])
 
     walk(0, blocks[0], [])
-    m, n, ml = best
-    return SurfaceRecord(s, rec.d, m, n, ml), best_perm
+    return _prechecked(SurfaceRecord, s, rec.d, *best), best_perm
 
 
 def _permuted_surface_data(rec, image):
@@ -934,7 +949,10 @@ def find_normalizing_word(R, T):
             # it to the plane spanned by the other three centers
             (u, v), = hit
             shared = len({u, v} & {1, 2, 3})
-            assert shared < 2, "a pairing-0 transport cannot contract onto L_ij with i,j <= 3"
+            if shared == 2:
+                raise NoNormalizingWordError(
+                    f"transport contracted onto L_{u}{v}, a line inside "
+                    f"S_1(123): {cur!r}")
             low = sorted({1, 2, 3} - {u, v})[:2 - shared]
             rest = [i for i in range(4, s + 1) if i not in (u, v)]
             centers = tuple(sorted({u, v}.union(low, rest[:3 - len(low)])))

@@ -60,6 +60,21 @@ def test_line_and_quartic_accessors():
     assert T.quartic(1) == 0
 
 
+@pytest.mark.parametrize("k", [0, -1, 9, 1.0, True, "1", None])
+def test_quartic_label_is_checked(k):
+    # quartic(0) used to read Q_8 and quartic(-1) Q_7 through negative
+    # indexing; a label must be an int in 1..8
+    with pytest.raises(ValueError):
+        weyl.s15_surface(1).quartic(k)
+
+
+@pytest.mark.parametrize("i, j", [(1, 2.0), (True, 2), (1, 1), (0, 2),
+                                  (1, 9), (-1, 2), (1, "2")])
+def test_line_labels_are_checked(i, j):
+    with pytest.raises(ValueError):
+        weyl.s15_surface(1).line(i, j)
+
+
 def test_bad_centers():
     D = weyl.DivisorRecord(8, 1, (1, 1, 1, 1, 0, 0, 0, 0))
     with pytest.raises(weyl.BadCentersError):
