@@ -6,14 +6,19 @@ every center set; the normalizing words are pinned by a digest over
 seeded plane pairs."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from cremona import p3, p4, weyl
 
 PAIR_POS = weyl.PAIR_POS
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 # -- reference formulas ------------------------------------------------
@@ -215,7 +220,7 @@ def test_cremona5_surface_image_is_checked():
 # -- p3 and p4 record maps --------------------------------------------
 
 @pytest.mark.parametrize("new, ref, cls, lengths", RECORD_MAPS)
-def test_p4_record_map_matches_reference(new, ref, cls, lengths):
+def test_record_map_matches_reference(new, ref, cls, lengths):
     rng = random.Random(sum(lengths) * 97)
     for _ in range(400):
         rec = rand_record(rng, cls, lengths)
@@ -225,7 +230,7 @@ def test_p4_record_map_matches_reference(new, ref, cls, lengths):
 
 
 @pytest.mark.parametrize("new, ref, cls, lengths", RECORD_MAPS)
-def test_p4_record_map_checks_its_image(new, ref, cls, lengths):
+def test_record_map_checks_its_image(new, ref, cls, lengths):
     rec = rand_record(random.Random(3), cls, lengths)
     bad = object.__new__(cls)
     for name, value in zip(cls.__match_args__, (rec.d + 0.5,)
@@ -243,6 +248,32 @@ def test_records_refuse_bad_entries():
         p4.P4Divisor(1, (0,) * 5, (0,) * 10, (0,) * 9 + (True,))
     with pytest.raises(ValueError):
         p3.P3Curve(1, (0,) * 4, (0,) * 5 + (0.0,))
+
+
+RECORDS_ONLY = """
+from cremona import p3, p4
+
+def unbuilt():
+    raise SystemExit("a record map built a ring")
+
+p3._build_ring = p4._build_ring = unbuilt
+for f, rec in [
+        (p3.cremona_divisor, p3.P3Divisor(2, (1,) * 4, (0,) * 6)),
+        (p3.cremona_curve, p3.P3Curve(1, (1, 0, 0, 0), (0,) * 6)),
+        (p4.cremona_divisor, p4.P4Divisor(1, (1,) * 5, (0,) * 10, (0,) * 10)),
+        (p4.cremona_curve, p4.P4Curve(1, (0,) * 5, (0,) * 10, (0,) * 10)),
+        (p4.cremona_surface, p4.P4Surface(1, (0,) * 5, (0,) * 10, (0,) * 10,
+                                          (0,) * 10, (0,) * 30))]:
+    assert f(f(rec)) == rec
+"""
+
+
+def test_record_maps_build_no_ring():
+    # a fresh interpreter: the suite's own imports have built both rings
+    proc = subprocess.run([sys.executable, "-c", RECORDS_ONLY], text=True,
+                          capture_output=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- normalizing words -------------------------------------------------
