@@ -7,11 +7,14 @@ row, then the line multiplicities row by row).  Point labels are 1-based
 everywhere here, including the Chow cycle names (E1 is the first point).
 
 Exit codes: 0 ok, 2 bad input, 3 orbit budget exceeded, 4 the transform
-contracted the class (the image is still printed).
+contracted the class (the image is still printed), 141 (128 + SIGPIPE)
+stdout was closed before all output was written, as under `| head -1`
+(no traceback is printed).
 """
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 
@@ -21,6 +24,7 @@ EX_OK = 0
 EX_PARSE = 2
 EX_BUDGET = 3
 EX_CONTRACTED = 4
+EX_PIPE = 141
 
 CACHE_HEADER = "# cremona orbit cache v1"
 
@@ -496,7 +500,17 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        # a closed stdout shows up here, not in the flush at exit
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit; send what is left
+        # of the buffer to devnull so that flush cannot fail as well
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EX_PIPE
     except weyl.OrbitBudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return EX_BUDGET

@@ -91,18 +91,17 @@ def k_quartic(D, k):
     return sum(D.m[i - 1] for i in range(1, D.s + 1) if i != k) - 4 * D.d
 
 
-def _k_values(D, classes, weight):
-    # sum_i m_i c_i - weight * d * deg(c) for each class c: weight 1 is
-    # minus the divisor-curve pairing, weight 3 minus the divisor form
-    d, m = D.d, D.m
-    return [sum(map(mul, m, c.m)) - weight * d * c.d for c in classes]
+def _k_value(D, c, weight):
+    # sum_i m_i c_i - weight * d * deg(c): weight 1 is minus the
+    # divisor-curve pairing, weight 3 minus the divisor form
+    return sum(map(mul, D.m, c.m)) - weight * D.d * c.d
 
 
 def k_curve(D, C):
     """k_C = -D.C for a curve record C = deg*l - sum mu_i l_i."""
     if D.s != C.s:
         raise ValueError("divisor and curve live on different point counts")
-    return _k_values(D, (C,), 1)[0]
+    return _k_value(D, C, 1)
 
 
 def _plane_curve(T):
@@ -124,12 +123,14 @@ def _plane_curves(s):
 @lru_cache(maxsize=None)
 def _plane_types(s):
     # the Gamma_T grouped as weyl.divisor_types groups the hyperplane
-    # classes: (degree, mu sorted down, every mu of that type)
+    # classes: (degree, mu sorted down, every mu of that type, and the
+    # index in _plane_curves(s) of each of those curves)
     groups = {}
-    for C in _plane_curves(s).values():
+    for i, C in enumerate(_plane_curves(s).values()):
         key = (C.d, tuple(sorted(C.m, reverse=True)))
-        groups.setdefault(key, []).append(C.m)
-    return tuple((d, mu, tuple(ms)) for (d, mu), ms in groups.items())
+        groups.setdefault(key, []).append((C.m, i))
+    return tuple((d, mu, *zip(*members))
+                 for (d, mu), members in groups.items())
 
 
 @lru_cache(maxsize=None)
@@ -187,18 +188,19 @@ def k_weyl_divisor(D, W):
     """
     if not (weyl.is_weyl_divisor(W) and W.s == _weyl_points(D)):
         raise ValueError(f"not a Weyl hyperplane class: {W!r}")
-    return _k_values(D, (W,), 3)[0]
+    return _k_value(D, W, 3)
 
 
 def _binomial_sum(D, types, weight, shift):
     # sum of C(k + shift, 4) over every class c of every type (deg, c
-    # sorted down, arrangements), k = sum m_i c_i - weight * d * deg.  By
-    # the rearrangement inequality no arrangement beats m sorted down
-    # against c sorted down, for any integer m, so a type whose bound has
-    # k + shift < 4 adds only zeros and is skipped.
+    # sorted down, arrangements, and for plane types the plane indices),
+    # k = sum m_i c_i - weight * d * deg.  By the rearrangement inequality
+    # no arrangement beats m sorted down against c sorted down, for any
+    # integer m, so a type whose bound has k + shift < 4 adds only zeros
+    # and is skipped.
     m, top = D.m, sorted(D.m, reverse=True)
     total = 0
-    for deg, c, arrangements in types:
+    for deg, c, arrangements, *_ in types:
         base = weight * D.d * deg - shift
         if sum(map(mul, top, c)) - base >= 4:
             total += sum(_c4(sum(map(mul, m, a)) - base)
@@ -264,6 +266,27 @@ def plane_id(T):
     return f"{tag}({','.join(str(i) for i in idx)})"
 
 
+@lru_cache(maxsize=None)
+def _plane_table(s):
+    # what base_locus_report reads about the Weyl planes on s points, built
+    # on first use: labels[i] is the plane_id of the i-th plane of
+    # _plane_curves(s), types is _plane_types(s), rank[i] is the place of
+    # labels[i] in string order, ranked lists the labels in that order, and
+    # bit b of later[r] is set when b > r and the planes ranked r and b
+    # pair nonzero (read off the _plane_pairings rows)
+    labels = tuple(map(plane_id, _plane_curves(s)))
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    rows = _plane_pairings(s)
+    later = tuple(
+        sum(1 << rank[j] for j, v in enumerate(rows[i]) if v) & -(2 << r)
+        for r, i in enumerate(order))
+    return (labels, _plane_types(s), tuple(rank),
+            tuple(labels[i] for i in order), later)
+
+
 @dataclass(frozen=True)
 class BaseLocusReport:
     """Positive containment multiplicities of Weyl cycles in Bs|D|.
@@ -296,7 +319,9 @@ def base_locus_report(D):
     One pass over the lines and quartics serves every s the scan covers
     (ValueError past MAX_QUARTIC_SUBSETS seven point subsets); h1corr
     sums C(2 + k, 4) over the deep curves, the only ones with a nonzero
-    term.  For 6 <= s <= 8 every Weyl plane is scanned.  With fewer
+    term.  For 6 <= s <= 8 every Weyl plane is scanned, a permutation
+    type at a time, skipped when its best arrangement gives k <= 0, and
+    the meeting pairs are read off precomputed bitmasks.  With fewer
     points no Cremona keeps a plane effective, so only the actual planes
     S_1(ijk) are checked, directly.  Past eight points no planes are
     listed.
@@ -314,19 +339,34 @@ def base_locus_report(D):
     deep.sort()
     planes, conflicts = {}, []
     if D.s in weyl.POINT_COUNTS:
-        gammas = _plane_curves(D.s)
-        listed = []
-        ks = _k_values(D, gammas.values(), 1)
-        for i, (T, k) in enumerate(zip(gammas, ks)):
-            if k > 0:
-                name = plane_id(T)
-                planes[name] = k
-                listed.append((name, i))
-        if len(listed) > 1:
-            rows = _plane_pairings(D.s)
-            for (a, i), (b, j) in combinations(listed, 2):
-                if rows[i][j]:
-                    conflicts.append((a, b) if a < b else (b, a))
+        labels, types, rank, ranked, later = _plane_table(D.s)
+        m, top, hits = D.m, sorted(D.m, reverse=True), []
+        for deg, mu, mus, idxs in types:
+            # k_T = -D.Gamma_T; the bound of _binomial_sum skips a type
+            # whose best arrangement gives k <= 0
+            base = D.d * deg
+            if sum(map(mul, top, mu)) > base:
+                for c, i in zip(mus, idxs):
+                    k = sum(map(mul, m, c)) - base
+                    if k > 0:
+                        hits.append((i, k))
+        hits.sort()  # planes is filled in _plane_curves order
+        listed = 0
+        for i, k in hits:
+            planes[labels[i]] = k
+            listed |= 1 << rank[i]
+        # walking the listed ranks up and each one's later pairs up gives
+        # the conflicts as (a, b) with a < b, already sorted
+        rest = listed
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            r = bit.bit_length() - 1
+            a, meet = ranked[r], later[r] & listed
+            while meet:
+                bit = meet & -meet
+                meet ^= bit
+                conflicts.append((a, ranked[bit.bit_length() - 1]))
     elif D.s < 6:
         for tri in combinations(range(1, D.s + 1), 3):
             k = sum(D.m[i - 1] for i in tri) - 2 * D.d
@@ -335,7 +375,6 @@ def base_locus_report(D):
         # two triples out of at most five labels always share a point,
         # and actual planes through a common point pair to zero, so no
         # conflicts can show up here
-    conflicts.sort()
     return BaseLocusReport(lines=lines, quartics=quartics, planes=planes,
                            pairwise_conflicts=tuple(conflicts),
                            empties_hint=bool(conflicts),

@@ -79,6 +79,15 @@ def quartic_slots(s):
     return ()
 
 
+# per s, the SurfaceRecord slots that must hold zero: the point labels
+# past s, the quartic labels outside quartic_slots(s), and the mline
+# positions of the lines through a point past s (none at all for s = 8)
+_DEAD_SLOTS = {s: (tuple(range(s + 1, 9)),
+                   tuple(k for k in range(1, 9) if k not in quartic_slots(s)),
+                   tuple(p for p, (_, j) in enumerate(PAIRS8) if j > s))
+               for s in POINT_COUNTS}
+
+
 @dataclass(frozen=True, order=True)
 class _PointRecord:
     # the body shared by divisor and curve records; the two stay distinct
@@ -123,15 +132,16 @@ class SurfaceRecord:
         object.__setattr__(self, "m", int_tuple(self.m, 8, "m"))
         object.__setattr__(self, "n", int_tuple(self.n, 8, "n"))
         object.__setattr__(self, "mline", int_tuple(self.mline, 28, "mline"))
-        for i in range(self.s + 1, 9):
+        points, quartics, lines = _DEAD_SLOTS[self.s]
+        for i in points:
             if self.m[i - 1] != 0:
                 raise ValueError(f"point {i} does not exist for s={self.s}")
-        live = set(quartic_slots(self.s))
-        for k in range(1, 9):
-            if k not in live and self.n[k - 1] != 0:
+        for k in quartics:
+            if self.n[k - 1] != 0:
                 raise ValueError(f"quartic Q_{k} does not exist for s={self.s}")
-        for (i, j), v in zip(PAIRS8, self.mline):
-            if j > self.s and v != 0:
+        for pos in lines:
+            if self.mline[pos] != 0:
+                i, j = PAIRS8[pos]
                 raise ValueError(f"line L_{i}{j} does not exist for s={self.s}")
 
     def line(self, i, j):

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -487,6 +488,25 @@ def test_report_scans_once(capsys, tmp_path, monkeypatch, s, d, flags, most):
     rc, _, _ = run(capsys, "report", "--in", src, *flags)
     assert rc == 0
     assert 1 <= len(calls) <= most
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_report_into_a_closed_pipe(tmp_path, flags):
+    # a reader that quit early (| head -1): the child's stdout is a pipe
+    # whose read end is already closed, so its first write fails
+    src = write_json(tmp_path / "d.json",
+                     {"kind": "divisor", "s": 8, "d": 3,
+                      "m": [3, 3, 3, 2, 2, 1, 1, 1]})
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cremona.cli", "report", "--in", src,
+             *flags], stdout=w, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(w)
+    assert proc.returncode == cli.EX_PIPE == 141
+    assert proc.stderr == b""
 
 
 def test_report_wants_divisor(capsys, tmp_path):

@@ -297,9 +297,9 @@ def test_plane_types_group_the_plane_curves():
         types = linsys._plane_types(s)
         assert len(types) == n
         curves = sorted(linsys._plane_curves(s).values())
-        assert sorted(weyl.CurveRecord(s, d, mu) for d, _, ms in types
+        assert sorted(weyl.CurveRecord(s, d, mu) for d, _, ms, _ in types
                       for mu in ms) == curves
-        for _, top, ms in types:
+        for _, top, ms, _ in types:
             assert list(top) == sorted(top, reverse=True)
             assert all(sorted(mu, reverse=True) == list(top) for mu in ms)
 

@@ -51,6 +51,46 @@ def test_surface_record_zero_padding_enforced():
     assert rec.s == 7 and rec.m[7] == 0
 
 
+@pytest.mark.parametrize("s", [6, 7])
+def test_surface_record_every_dead_slot_is_refused(s):
+    # each slot set to 1 alone: a slot naming a point past s (or, for n,
+    # a quartic outside quartic_slots(s)) raises with its own message,
+    # every other slot is accepted
+    def put(field, pos):
+        rec = {"m": list(Z8), "n": list(Z8), "mline": list(Z28)}
+        rec[field][pos] = 1
+        return weyl.SurfaceRecord(s, 1, rec["m"], rec["n"], rec["mline"])
+
+    expected = [("m", i - 1, f"point {i} does not exist for s={s}")
+                for i in range(1, 9) if i > s]
+    expected += [("n", k - 1, f"quartic Q_{k} does not exist for s={s}")
+                 for k in range(1, 9) if k not in weyl.quartic_slots(s)]
+    expected += [("mline", p, f"line L_{i}{j} does not exist for s={s}")
+                 for p, (i, j) in enumerate(weyl.PAIRS8) if j > s]
+    dead = set()
+    for field, pos, msg in expected:
+        with pytest.raises(ValueError) as err:
+            put(field, pos)
+        assert str(err.value) == msg
+        dead.add((field, pos))
+    for field, size in (("m", 8), ("n", 8), ("mline", 28)):
+        for pos in range(size):
+            if (field, pos) not in dead:
+                assert getattr(put(field, pos), field)[pos] == 1
+    # with every dead slot set at once, points fire first, then
+    # quartics, then lines in PAIRS8 order
+    m = [0] * s + [1] * (8 - s)
+    n = [0 if k in weyl.quartic_slots(s) else 1 for k in range(1, 9)]
+    mline = [1 if j > s else 0 for _, j in weyl.PAIRS8]
+    slots = {"m": m, "n": n, "mline": mline}
+    for field, pos, msg in expected:
+        with pytest.raises(ValueError) as err:
+            weyl.SurfaceRecord(s, 1, m, n, mline)
+        assert str(err.value) == msg
+        slots[field][pos] = 0
+    assert weyl.SurfaceRecord(s, 1, m, n, mline).s == s
+
+
 def test_line_and_quartic_accessors():
     T = weyl.s6_sextic(6, 7, 8)
     assert T.line(1, 2) == 1
