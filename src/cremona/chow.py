@@ -624,37 +624,64 @@ def build_once(build):
 
 # -- records: fixed-length integer views of the classes of one grade ------
 
-def record_layout(ring, lead, *fields):
-    """Where a record's entries sit in ring, looked up once per record type.
+class IntRecord:
+    """Base of the fixed-length integer records: the one entry check.
 
-    A record is (d, field, field, ...): d is the coefficient of the cycle
-    named by the symbol ``lead``, and each field, given as (sign, symbols),
-    lists sign * coefficient of the cycles those symbols name, in order.
-    A symbol is a (kind[, idx[, sub]]) tuple for ``ChowRing.element``.
-    The layout holds the ring's own basis elements.
+    A record dataclass has an int field d and, after it, the tuple fields
+    it lists in FIELDS as (name, length) pairs; construction refuses a d
+    or an entry that is not exactly an int, and a wrong length, and
+    stores each field as a tuple.
     """
-    return (ring, ring.element(*lead), tuple(
-        (sign, tuple(ring.element(*sym) for sym in syms))
-        for sign, syms in fields))
+
+    FIELDS = ()
+
+    def __post_init__(self):
+        int_tuple((self.d,), 1, "d")
+        for name, n in self.FIELDS:
+            object.__setattr__(self, name,
+                               int_tuple(getattr(self, name), n, name))
 
 
-def record_class(layout, d, *fields):
-    """The class of the record (d, *fields).
+def record_layout(ring, record_type, lead, *fields):
+    """Where the entries of an IntRecord type sit in ring, looked up once.
+
+    d is the coefficient of the cycle named by the symbol ``lead``, and
+    each field of record_type.FIELDS, given here in order as (sign,
+    symbols), lists sign * coefficient of the cycles those symbols name.
+    A symbol is a (kind[, idx[, sub]]) tuple for ``ChowRing.element``.
+    The layout holds the ring's own basis elements; a field count or a
+    symbol count that differs from FIELDS raises ValueError.
+    """
+    sizes = tuple(len(syms) for _, syms in fields)
+    if sizes != tuple(n for _, n in record_type.FIELDS):
+        raise ValueError(f"{record_type.__name__} fields {record_type.FIELDS} "
+                         f"do not match the layout's sizes {sizes}")
+    return (ring, record_type, ring.element(*lead), tuple(
+        (name, sign, tuple(ring.element(*sym) for sym in syms))
+        for (name, _), (sign, syms) in zip(record_type.FIELDS, fields)))
+
+
+def record_class(layout, rec):
+    """The class of the record rec.
 
     Its coefficients sit on the layout's own ring elements, which are
     distinct and of one grade, so no term needs the per-term check of
     ``make_class``; only the 64-bit bound is checked.
     """
-    ring, lead, rest = layout
-    items = [(lead, d)]
-    for (sign, elems), values in zip(rest, fields):
-        items += zip(elems, [sign * v for v in values])
+    ring, _, lead, rest = layout
+    items = [(lead, rec.d)]
+    for name, sign, elems in rest:
+        items += zip(elems, [sign * v for v in getattr(rec, name)])
     return _canonical(ring, lead.grade, items)
 
 
-def record_entries(x, layout):
-    """(d, *fields) of the record whose class is x."""
+def record_from_class(x, layout):
+    """The record whose class is x, which must lie in the layout's ring and
+    grade (WrongGradeError otherwise)."""
+    ring, record_type, lead, rest = layout
+    if x.ring is not ring or x.grade != lead.grade:
+        raise WrongGradeError(f"{record_type.__name__} records live in grade "
+                              f"{lead.grade} of the {ring.ring_id} ring")
     get = x.coeffs.get
-    _, lead, rest = layout
-    return (get(lead, 0),) + tuple(
-        tuple(sign * get(e, 0) for e in elems) for sign, elems in rest)
+    return record_type(get(lead, 0), *[
+        tuple([sign * get(e, 0) for e in elems]) for _, sign, elems in rest])

@@ -164,11 +164,13 @@ _RINGS = {"x3": p3, "x4": p4}
 
 
 def _shift_name(name, delta):
-    # user-facing cycle names are 1-based, the rings label points from 0
+    # user-facing cycle names are 1-based, the rings label points from 0,
+    # so no label of a name read with delta -1 may be 0
     kind, idx, sub = chow.parse_name(name)
     if kind == "one":
         return "1"
-    if sub >= 0 and sub + delta < 0:
+    labels = idx + ((sub,) if sub >= 0 else ())
+    if any(i + delta < 0 for i in labels):
         raise chow.UnknownSymbolError(f"cannot parse cycle name {name!r}")
     out = kind + "".join(str(i + delta) for i in idx)
     if sub >= 0:
@@ -188,13 +190,25 @@ def chow_from_json(doc, ring_name):
     terms = doc.get("terms", {})
     if not isinstance(terms, dict):
         raise CliError("terms must be an object mapping class names to integers")
+    # each term is resolved on its own, and an error names it as written
+    first, pairs = None, []
+    for name, c in terms.items():
+        try:
+            elem = ring._coerce(_shift_name(name, -1))
+        except chow.ChowError:
+            raise CliError(f"{ring_name} has no basis cycle {name!r}") from None
+        c = _json_int(c, f"terms[{name}]")
+        if abs(c) > chow.INT64_MAX:
+            raise CliError(f"terms[{name}] is outside the 64-bit range")
+        if first is None:
+            first, grade = name, elem.grade
+        elif elem.grade != grade:
+            raise CliError(f"term {name!r} has grade {elem.grade}, "
+                           f"but {first!r} has grade {grade}")
+        pairs.append((elem, c))
+    if first is None:
+        grade = _json_int(doc.get("grade", 0), "grade")
     try:
-        pairs = [(_shift_name(name, -1), _json_int(c, f"terms[{name}]"))
-                 for name, c in terms.items()]
-        if pairs:
-            grade = ring._coerce(pairs[0][0]).grade
-        else:
-            grade = _json_int(doc.get("grade", 0), "grade")
         return ring.make_class(grade, pairs)
     except chow.ChowError as e:
         raise CliError(str(e)) from None

@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .chow import (ChowClass, ChowRing, ImageRows, WrongGradeError,
-                   build_once, int_tuple, linear_map, record_class,
-                   record_entries, record_layout)
+from .chow import (ChowClass, ChowRing, ImageRows, IntRecord,
+                   WrongGradeError, build_once, linear_map, record_class,
+                   record_from_class, record_layout)
 
 POINTS = tuple(range(4))
 PAIRS = tuple(combinations(POINTS, 2))
@@ -119,6 +119,25 @@ def _involution_images(R: ChowRing) -> dict:
     return img
 
 
+@dataclass(frozen=True)
+class _P3Record(IntRecord):
+    # the body shared by divisor and curve records (distinct types)
+
+    FIELDS = (("m", 4), ("nl", 6))
+
+    d: int
+    m: tuple
+    nl: tuple
+
+
+class P3Divisor(_P3Record):
+    """Divisor record (d; m_0..m_3; n over PAIRS order)."""
+
+
+class P3Curve(_P3Record):
+    """Curve record (d; m_0..m_3; n over PAIRS order)."""
+
+
 class _Tables:
     """The X3 ring and what is looked up in it once: the involution's
     basis images and the record layouts."""
@@ -126,10 +145,10 @@ class _Tables:
     def __init__(self):
         R = self.ring = _build_ring()
         self.involution = ImageRows(R, _involution_images(R))
-        self.divisor = record_layout(R, ("H",),
+        self.divisor = record_layout(R, P3Divisor, ("H",),
                                      (-1, [("E", (i,)) for i in POINTS]),
                                      (-1, [("E", q) for q in PAIRS]))
-        self.curve = record_layout(R, ("l",),
+        self.curve = record_layout(R, P3Curve, ("l",),
                                    (-1, [("l", (i,)) for i in POINTS]),
                                    (-1, [("f", q) for q in PAIRS]))
 
@@ -148,21 +167,12 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class _Slots:
-    """Where the record maps read their entries, looked up once, as slot
-    numbers: per point, the pairs that avoid it; per pair, its
-    complementary pair (slot, points)."""
-
-    def __init__(self):
-        self.pairs_away = tuple(
-            tuple(a for a, q in enumerate(PAIRS) if i not in q)
-            for i in POINTS)
-        self.by_pair = tuple((PAIR_SLOT[q], q)
-                             for q in map(pair_complement, PAIRS))
-
-
-# built on first use, apart from the ring: a record map never reads it
-_slots = build_once(_Slots)
+# where the record maps read their entries, as slot numbers, built at
+# import and apart from the ring: per point, the pairs that avoid it; per
+# pair, its complementary pair (slot, points)
+_PAIRS_AWAY = tuple(tuple(a for a, q in enumerate(PAIRS) if i not in q)
+                    for i in POINTS)
+_BY_PAIR = tuple((PAIR_SLOT[q], q) for q in map(pair_complement, PAIRS))
 
 
 def cremona(x: ChowClass) -> ChowClass:
@@ -173,58 +183,29 @@ def cremona(x: ChowClass) -> ChowClass:
     return linear_map(x, tab.involution)
 
 
-@dataclass(frozen=True)
-class _P3Record:
-    # the body shared by divisor and curve records (distinct types)
-
-    d: int
-    m: tuple
-    nl: tuple
-
-    def __post_init__(self):
-        int_tuple((self.d,), 1, "d")
-        object.__setattr__(self, "m", int_tuple(self.m, 4, "m"))
-        object.__setattr__(self, "nl", int_tuple(self.nl, 6, "nl"))
-
-
-class P3Divisor(_P3Record):
-    """Divisor record (d; m_0..m_3; n over PAIRS order)."""
-
-
-class P3Curve(_P3Record):
-    """Curve record (d; m_0..m_3; n over PAIRS order)."""
-
-
 def divisor_class(D: P3Divisor) -> ChowClass:
-    return record_class(_tables().divisor, D.d, D.m, D.nl)
+    return record_class(_tables().divisor, D)
 
 
 def divisor_from_class(x: ChowClass) -> P3Divisor:
-    tab = _tables()
-    if x.ring is not tab.ring or x.grade != 1:
-        raise WrongGradeError("divisor records live in grade 1 of the P^3 ring")
-    return P3Divisor(*record_entries(x, tab.divisor))
+    return record_from_class(x, _tables().divisor)
 
 
 def curve_class(C: P3Curve) -> ChowClass:
-    return record_class(_tables().curve, C.d, C.m, C.nl)
+    return record_class(_tables().curve, C)
 
 
 def curve_from_class(x: ChowClass) -> P3Curve:
-    tab = _tables()
-    if x.ring is not tab.ring or x.grade != 2:
-        raise WrongGradeError("curve records live in grade 2 of the P^3 ring")
-    return P3Curve(*record_entries(x, tab.curve))
+    return record_from_class(x, _tables().curve)
 
 
 def cremona_divisor(D: P3Divisor) -> P3Divisor:
     """Cremona image of a divisor record; involutive."""
-    tab = _slots()
     d, m, nl = D.d, D.m, D.nl
     tot = sum(m)
     m2 = tuple([2 * d - tot + x for x in m])
     # n' at a pair reads its complementary pair (i, j)
-    nl2 = tuple([d + nl[a] - m[i] - m[j] for a, (i, j) in tab.by_pair])
+    nl2 = tuple([d + nl[a] - m[i] - m[j] for a, (i, j) in _BY_PAIR])
     return P3Divisor(3 * d - tot, m2, nl2)
 
 
@@ -234,12 +215,11 @@ def cremona_curve(C: P3Curve) -> P3Curve:
     With all n_ij = 0 this restricts to the multiplicity-only rule
     d' = 3d - 2*sum(m), m_i' = d - sum of the other three.
     """
-    tab = _slots()
     d, m, nl = C.d, C.m, C.nl
     tot = sum(m)
     m2 = tuple([d - tot + x - sum([nl[a] for a in pairs])
-                for x, pairs in zip(m, tab.pairs_away)])
-    nl2 = tuple([nl[a] for a, _ in tab.by_pair])
+                for x, pairs in zip(m, _PAIRS_AWAY)])
+    nl2 = tuple([nl[a] for a, _ in _BY_PAIR])
     return P3Curve(3 * d - 2 * tot - sum(nl), m2, nl2)
 
 

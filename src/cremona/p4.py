@@ -36,9 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .chow import (ChowClass, ChowRing, ImageRows, WrongGradeError,
-                   build_once, int_tuple, linear_map, record_class,
-                   record_entries, record_layout)
+from .chow import (ChowClass, ChowRing, ImageRows, IntRecord,
+                   WrongGradeError, build_once, linear_map, record_class,
+                   record_from_class, record_layout)
 
 POINTS = tuple(range(5))
 PAIRS = tuple(combinations(POINTS, 2))
@@ -343,6 +343,45 @@ def _involution_images(R: ChowRing) -> dict:
     return img
 
 
+@dataclass(frozen=True)
+class _P4Record(IntRecord):
+    # the body shared by divisor and curve records (distinct types)
+
+    FIELDS = (("m", 5), ("ml", 10), ("mp", 10))
+
+    d: int
+    m: tuple
+    ml: tuple
+    mp: tuple
+
+
+class P4Divisor(_P4Record):
+    """Divisor record (d; m by point; ml by pair; mp by triple)."""
+
+
+class P4Curve(_P4Record):
+    """Curve record (d; m by point; ml by pair; mp by triple)."""
+
+
+@dataclass(frozen=True)
+class P4Surface(IntRecord):
+    """Surface record (d; m; ml, nl by pair; mp by triple; np by V slot).
+
+    ml is multiplicity along a coordinate line, nl the extra contact with
+    it; mp the contact degree with a coordinate plane and np the three
+    signed correction entries per plane (V_SLOTS order).
+    """
+
+    FIELDS = (("m", 5), ("ml", 10), ("nl", 10), ("mp", 10), ("np", 30))
+
+    d: int
+    m: tuple
+    ml: tuple
+    nl: tuple
+    mp: tuple
+    np: tuple
+
+
 class _Tables:
     """The X4 ring and what is looked up in it once: the involution's
     basis images and the record layouts."""
@@ -350,15 +389,15 @@ class _Tables:
     def __init__(self):
         R = self.ring = _build_ring()
         self.involution = ImageRows(R, _involution_images(R))
-        self.divisor = record_layout(R, ("H",),
+        self.divisor = record_layout(R, P4Divisor, ("H",),
                                      (-1, [("E", (i,)) for i in POINTS]),
                                      (-1, [("E", q) for q in PAIRS]),
                                      (-1, [("E", t) for t in TRIPLES]))
-        self.curve = record_layout(R, ("l",),
+        self.curve = record_layout(R, P4Curve, ("l",),
                                    (-1, [("l", (i,)) for i in POINTS]),
                                    (-1, [("l", q) for q in PAIRS]),
                                    (-1, [("f", t) for t in TRIPLES]))
-        self.surface = record_layout(R, ("S",),
+        self.surface = record_layout(R, P4Surface, ("S",),
                                      (-1, [("S", (i,)) for i in POINTS]),
                                      (-1, [("P", q) for q in PAIRS]),
                                      (-1, [("F", q) for q in PAIRS]),
@@ -380,31 +419,21 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class _Slots:
-    """Where the record maps read their entries, looked up once, as slot
-    numbers: per point, the pairs and the triples that avoid it; per
-    pair, its complementary triple t (slot, points, pairs within t); per
-    triple, its complementary pair q (slot, points, and the V slots
-    (q + w, w) for w in the triple)."""
-
-    def __init__(self):
-        self.pairs_away = tuple(
-            tuple(a for a, q in enumerate(PAIRS) if i not in q)
-            for i in POINTS)
-        self.triples_away = tuple(
-            tuple(b for b, t in enumerate(TRIPLES) if i not in t)
-            for i in POINTS)
-        self.by_pair = tuple(
-            (TRIPLE_SLOT[t], t, tuple(PAIR_SLOT[r] for r in _pairs_within(t)))
-            for t in map(pair_complement, PAIRS))
-        self.by_triple = tuple(
-            (PAIR_SLOT[q], q,
-             tuple(V_SLOT[(tuple(sorted(q + (w,))), w)] for w in t))
-            for t, q in zip(TRIPLES, map(triple_complement, TRIPLES)))
-
-
-# built on first use, apart from the ring: a record map never reads it
-_slots = build_once(_Slots)
+# where the record maps read their entries, as slot numbers, built at
+# import and apart from the ring: per point, the pairs and the triples
+# that avoid it; per pair, its complementary triple t (slot, points, pairs
+# within t); per triple, its complementary pair q (slot, points, and the V
+# slots (q + w, w) for w in the triple)
+_PAIRS_AWAY = tuple(tuple(a for a, q in enumerate(PAIRS) if i not in q)
+                    for i in POINTS)
+_TRIPLES_AWAY = tuple(tuple(b for b, t in enumerate(TRIPLES) if i not in t)
+                      for i in POINTS)
+_BY_PAIR = tuple(
+    (TRIPLE_SLOT[t], t, tuple(PAIR_SLOT[r] for r in _pairs_within(t)))
+    for t in map(pair_complement, PAIRS))
+_BY_TRIPLE = tuple(
+    (PAIR_SLOT[q], q, tuple(V_SLOT[(tuple(sorted(q + (w,))), w)] for w in t))
+    for t, q in zip(TRIPLES, map(triple_complement, TRIPLES)))
 
 
 def cremona(x: ChowClass) -> ChowClass:
@@ -415,139 +444,77 @@ def cremona(x: ChowClass) -> ChowClass:
     return linear_map(x, tab.involution)
 
 
-@dataclass(frozen=True)
-class _P4Record:
-    # the body shared by divisor and curve records (distinct types)
-
-    d: int
-    m: tuple
-    ml: tuple
-    mp: tuple
-
-    def __post_init__(self):
-        int_tuple((self.d,), 1, "d")
-        object.__setattr__(self, "m", int_tuple(self.m, 5, "m"))
-        object.__setattr__(self, "ml", int_tuple(self.ml, 10, "ml"))
-        object.__setattr__(self, "mp", int_tuple(self.mp, 10, "mp"))
-
-
-class P4Divisor(_P4Record):
-    """Divisor record (d; m by point; ml by pair; mp by triple)."""
-
-
-class P4Curve(_P4Record):
-    """Curve record (d; m by point; ml by pair; mp by triple)."""
-
-
-@dataclass(frozen=True)
-class P4Surface:
-    """Surface record (d; m; ml, nl by pair; mp by triple; np by V slot).
-
-    ml is multiplicity along a coordinate line, nl the extra contact with
-    it; mp the contact degree with a coordinate plane and np the three
-    signed correction entries per plane (V_SLOTS order).
-    """
-
-    d: int
-    m: tuple
-    ml: tuple
-    nl: tuple
-    mp: tuple
-    np: tuple
-
-    def __post_init__(self):
-        int_tuple((self.d,), 1, "d")
-        object.__setattr__(self, "m", int_tuple(self.m, 5, "m"))
-        object.__setattr__(self, "ml", int_tuple(self.ml, 10, "ml"))
-        object.__setattr__(self, "nl", int_tuple(self.nl, 10, "nl"))
-        object.__setattr__(self, "mp", int_tuple(self.mp, 10, "mp"))
-        object.__setattr__(self, "np", int_tuple(self.np, 30, "np"))
-
-
 def divisor_class(D: P4Divisor) -> ChowClass:
-    return record_class(_tables().divisor, D.d, D.m, D.ml, D.mp)
+    return record_class(_tables().divisor, D)
 
 
 def divisor_from_class(x: ChowClass) -> P4Divisor:
-    tab = _tables()
-    if x.ring is not tab.ring or x.grade != 1:
-        raise WrongGradeError("divisor records live in grade 1 of the P^4 ring")
-    return P4Divisor(*record_entries(x, tab.divisor))
+    return record_from_class(x, _tables().divisor)
 
 
 def curve_class(C: P4Curve) -> ChowClass:
-    return record_class(_tables().curve, C.d, C.m, C.ml, C.mp)
+    return record_class(_tables().curve, C)
 
 
 def curve_from_class(x: ChowClass) -> P4Curve:
-    tab = _tables()
-    if x.ring is not tab.ring or x.grade != 3:
-        raise WrongGradeError("curve records live in grade 3 of the P^4 ring")
-    return P4Curve(*record_entries(x, tab.curve))
+    return record_from_class(x, _tables().curve)
 
 
 def surface_class(T: P4Surface) -> ChowClass:
-    return record_class(_tables().surface,
-                        T.d, T.m, T.ml, T.nl, T.mp, T.np)
+    return record_class(_tables().surface, T)
 
 
 def surface_from_class(x: ChowClass) -> P4Surface:
-    tab = _tables()
-    if x.ring is not tab.ring or x.grade != 2:
-        raise WrongGradeError("surface records live in grade 2 of the P^4 ring")
-    return P4Surface(*record_entries(x, tab.surface))
+    return record_from_class(x, _tables().surface)
 
 
 def cremona_divisor(D: P4Divisor) -> P4Divisor:
     """Cremona image of a divisor record; involutive."""
-    tab = _slots()
     d, m, ml, mp = D.d, D.m, D.ml, D.mp
     tot = sum(m)
     m2 = tuple([3 * d - tot + x for x in m])
     # ml' at a pair reads its complementary triple, mp' the reverse
     ml2 = tuple([2 * d - sum([m[r] for r in t]) + mp[b]
-                 for b, t, _ in tab.by_pair])
+                 for b, t, _ in _BY_PAIR])
     mp2 = tuple([d - sum([m[r] for r in q]) + ml[a]
-                 for a, q, _ in tab.by_triple])
+                 for a, q, _ in _BY_TRIPLE])
     return P4Divisor(4 * d - tot, m2, ml2, mp2)
 
 
 def cremona_curve(C: P4Curve) -> P4Curve:
     """Cremona image of a curve record; involutive."""
-    tab = _slots()
     d, m, ml, mp = C.d, C.m, C.ml, C.mp
     tot = sum(m)
     d2 = 4 * d - 3 * tot - 2 * sum(ml) - sum(mp)
     m2 = tuple([d - tot + x - sum([ml[a] for a in pairs])
                 - sum([mp[b] for b in triples])
                 for x, pairs, triples
-                in zip(m, tab.pairs_away, tab.triples_away)])
-    ml2 = tuple([mp[b] for b, _, _ in tab.by_pair])
-    mp2 = tuple([ml[a] for a, _, _ in tab.by_triple])
+                in zip(m, _PAIRS_AWAY, _TRIPLES_AWAY)])
+    ml2 = tuple([mp[b] for b, _, _ in _BY_PAIR])
+    mp2 = tuple([ml[a] for a, _, _ in _BY_TRIPLE])
     return P4Curve(d2, m2, ml2, mp2)
 
 
 def cremona_surface(T: P4Surface) -> P4Surface:
     """Cremona image of a surface record; involutive."""
-    tab = _slots()
     d, m, ml, nl, mp, np = T.d, T.m, T.ml, T.nl, T.mp, T.np
     tot = sum(m)
     mln = [x - y for x, y in zip(ml, nl)]
     m2 = tuple([3 * d - 2 * tot + 2 * x + sum([mln[a] for a in pairs])
-                for x, pairs in zip(m, tab.pairs_away)])
+                for x, pairs in zip(m, _PAIRS_AWAY)])
     # per triple t (V slots 3t, 3t + 1, 3t + 2): mp_t minus its three V
     # entries; brk at the V slot (t, w) adds back np_t,w, which leaves
     # mp_t - np_t,u - np_t,v for the other two members u, v of t
     rest = [mp[b] - sum(np[3 * b:3 * b + 3]) for b in range(10)]
     brk = [rest[v // 3] + x for v, x in enumerate(np)]
     ml2, nl2 = [], []
-    for b, t, t_pairs in tab.by_pair:
+    for b, t, t_pairs in _BY_PAIR:
         contact = mp[b] + rest[b]
         nl2.append(contact)
         ml2.append(d - sum([m[r] for r in t])
                    + sum([mln[a] for a in t_pairs]) + contact)
     mp2, np2 = [], []
-    for a, _, q_brk in tab.by_triple:
+    for a, _, q_brk in _BY_TRIPLE:
         # the brackets of the triples q + w, w in t, read at the pair q
         parts = [brk[v] for v in q_brk]
         top = nl[a] - sum(parts)

@@ -23,7 +23,7 @@ from itertools import combinations
 from math import isqrt
 from operator import mul
 
-from .chow import ascii_int, int_tuple
+from .chow import IntRecord, ascii_int, int_tuple
 
 POINT_COUNTS = (6, 7, 8)
 
@@ -112,13 +112,15 @@ class CurveRecord(_PointRecord):
 
 
 @dataclass(frozen=True, order=True)
-class SurfaceRecord:
+class SurfaceRecord(IntRecord):
     """Surface record: degree, point multiplicities m_i, quartic
     multiplicities n_k (along Q_k) and line multiplicities m_ij (along L_ij).
 
     Stored on eight slots regardless of s; slots that do not exist for the
     given s must hold zero.  mline is indexed by PAIRS8 in lex order.
     """
+
+    FIELDS = (("m", 8), ("n", 8), ("mline", 28))
 
     s: int
     d: int
@@ -128,10 +130,7 @@ class SurfaceRecord:
 
     def __post_init__(self):
         _check_point_count(self.s)
-        int_tuple((self.d,), 1, "d")
-        object.__setattr__(self, "m", int_tuple(self.m, 8, "m"))
-        object.__setattr__(self, "n", int_tuple(self.n, 8, "n"))
-        object.__setattr__(self, "mline", int_tuple(self.mline, 28, "mline"))
+        super().__post_init__()
         points, quartics, lines = _DEAD_SLOTS[self.s]
         for i in points:
             if self.m[i - 1] != 0:
@@ -179,10 +178,7 @@ class Perm:
         return self.image[i - 1]
 
     def inverse(self):
-        inv = [0] * self.s
-        for i, v in enumerate(self.image, start=1):
-            inv[v - 1] = i
-        return Perm(tuple(inv))
+        return Perm(_scatter(range(1, self.s + 1), self.image))
 
     @classmethod
     def identity(cls, s):
@@ -223,22 +219,24 @@ def cremona5_divisor(rec, centers):
     Only the five center entries move: d' = 4d - sum m, and each center
     multiplicity becomes 3d minus the other four.
     """
-    c = _check_centers(rec.s, centers)
-    tot = sum(rec.m[i - 1] for i in c)
-    m = list(rec.m)
-    for i in c:
-        m[i - 1] = 3 * rec.d - (tot - rec.m[i - 1])
-    return DivisorRecord(rec.s, 4 * rec.d - tot, tuple(m))
+    return _cremona5_point(DivisorRecord, rec, centers, 3, 1)
 
 
 def cremona5_curve(rec, centers):
     """Cremona action on a curve record: d' = 4d - 3 sum m on the centers."""
+    return _cremona5_point(CurveRecord, rec, centers, 1, 3)
+
+
+def _cremona5_point(cls, rec, centers, a, b):
+    # the five point Cremona on a point record, as a cls record: with
+    # K = (sum of the center entries) - a*d, each center entry drops by K
+    # and the degree by b*K; (a, b) is (3, 1) on divisors, (1, 3) on curves
     c = _check_centers(rec.s, centers)
-    tot = sum(rec.m[i - 1] for i in c)
     m = list(rec.m)
+    k = sum([m[i - 1] for i in c]) - a * rec.d
     for i in c:
-        m[i - 1] = rec.d - (tot - rec.m[i - 1])
-    return CurveRecord(rec.s, 4 * rec.d - 3 * tot, tuple(m))
+        m[i - 1] -= k
+    return cls(rec.s, rec.d - b * k, tuple(m))
 
 
 def cremona5_surface(rec, centers):
@@ -305,12 +303,18 @@ def _relabel(rec, image):
     # s labels; rec passed the record checks and a relabeling keeps every
     # entry an int in a live slot, so the result skips them
     if isinstance(rec, _PointRecord):
-        m = [0] * rec.s
-        for i, v in enumerate(image):
-            m[v - 1] = rec.m[i]
-        return _prechecked(type(rec), rec.s, rec.d, tuple(m))
+        return _prechecked(type(rec), rec.s, rec.d, _scatter(rec.m, image))
     return _prechecked(SurfaceRecord, rec.s, rec.d,
                        *_permuted_surface_data(rec, image))
+
+
+def _scatter(values, image):
+    # the tuple holding values[i] at position image[i] - 1, for image a
+    # permutation of the labels 1..len(image)
+    out = [0] * len(image)
+    for v, x in zip(image, values):
+        out[v - 1] = x
+    return tuple(out)
 
 
 def _prechecked(cls, *values):
@@ -372,10 +376,7 @@ def invert_word(word):
 def _perm_from_order(order, s):
     # order[p-1] = the old label that should land at position p; order is
     # an ordering of 1..s computed here, so the Perm checks are skipped
-    image = [0] * s
-    for pos, i in enumerate(order, start=1):
-        image[i - 1] = pos
-    return _prechecked(Perm, tuple(image))
+    return _prechecked(Perm, _scatter(range(1, s + 1), order))
 
 
 def canonical_form(rec):
@@ -442,17 +443,14 @@ def canonical_form(rec):
 
 def _permuted_surface_data(rec, image):
     # raw (m, n, mline) tuples of the relabeled record, no dataclass cost
-    img = list(image) + list(range(rec.s + 1, 9))
-    m, n, ml = [0] * 8, [0] * 8, [0] * 28
-    for i in range(8):
-        m[img[i] - 1] = rec.m[i]
-        n[img[i] - 1] = rec.n[i]
+    img = tuple(image) + tuple(range(rec.s + 1, 9))
+    ml = [0] * 28
     for k, (i, j) in enumerate(PAIRS8):
         a, b = img[i - 1], img[j - 1]
         if a > b:
             a, b = b, a
         ml[PAIR_POS[(a, b)]] = rec.mline[k]
-    return tuple(m), tuple(n), tuple(ml)
+    return _scatter(rec.m, img), _scatter(rec.n, img), tuple(ml)
 
 
 # -- seed templates ----------------------------------------------------

@@ -28,6 +28,21 @@ for build in (lambda: R.set_product(H, H, [(S, 5)]),
         raise SystemExit("a finalized ring took a write")
 assert R.mul(R.cls(H), R.cls(H)) == before == R.cls(S)
 
+# the record codec: a converter refuses a class of another grade, and a
+# layout whose sizes differ from the record's FIELDS is refused
+try:
+    p4.surface_from_class(R.cls(H))
+except chow.WrongGradeError:
+    pass
+else:
+    raise SystemExit("a surface converter took a divisor class")
+try:
+    chow.record_layout(R, p4.P4Curve, ("l",), (-1, [("l", (0,))]))
+except ValueError:
+    pass
+else:
+    raise SystemExit("a layout missing two fields was taken")
+
 # a transport onto a line inside S_1(123) cannot come from a pairing-0
 # pair; force one past the pairing check and the search must refuse it
 L12 = weyl.cremona5_surface(weyl.s1_plane(3, 4, 5), (1, 2, 3, 4, 5))

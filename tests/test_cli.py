@@ -359,6 +359,24 @@ def test_chow_sub_index_is_an_ascii_integer(capsys, tmp_path, name):
     assert rc == 2 and out == "" and repr(name) in err
 
 
+@pytest.mark.parametrize("terms, written, internal", [
+    ({"E0": 1}, "'E0'", ["E-(1,)", "E-1"]),
+    ({"E10": 1}, "'E10'", ["E0-(1,)", "E0-1"]),
+    ({"E21": 1}, "'E21'", ["E(1, 0)", "E10"]),
+    ({"E6": 1}, "'E6'", ["E(5,)", "E5"]),
+    ({"S": 1, "E12": 1}, "'E12'", ["E01"]),
+    ({"E1": 2**63}, "terms[E1]", ["E0"]),
+])
+def test_chow_term_errors_name_the_term_as_written(capsys, tmp_path, terms,
+                                                   written, internal):
+    # these printed the ring's 0-based names (E-(1,), E(1, 0), E01, ...)
+    h = chow_file(tmp_path / "h.json", "x4", {"H": 1})
+    a = chow_file(tmp_path / "a.json", "x4", terms)
+    rc, out, err = run(capsys, "mul", "--ring", "x4", "--a", h, "--b", a)
+    assert rc == 2 and out == "" and written in err
+    assert not any(name in err for name in internal), err
+
+
 def test_chow_document_must_be_an_object(capsys, tmp_path):
     # both used to crash with AttributeError and exit 1
     b = chow_file(tmp_path / "b.json", "x4", {"H": 1})
