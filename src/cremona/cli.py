@@ -191,12 +191,15 @@ def chow_from_json(doc, ring_name):
     if not isinstance(terms, dict):
         raise CliError("terms must be an object mapping class names to integers")
     # each term is resolved on its own, and an error names it as written
-    first, pairs = None, []
+    first, pairs, named = None, [], {}
     for name, c in terms.items():
         try:
             elem = ring._coerce(_shift_name(name, -1))
         except chow.ChowError:
             raise CliError(f"{ring_name} has no basis cycle {name!r}") from None
+        if elem in named:
+            raise CliError(f"terms {named[elem]!r} and {name!r} name one cycle")
+        named[elem] = name
         c = _json_int(c, f"terms[{name}]")
         if abs(c) > chow.INT64_MAX:
             raise CliError(f"terms[{name}] is outside the 64-bit range")

@@ -366,6 +366,7 @@ def test_chow_sub_index_is_an_ascii_integer(capsys, tmp_path, name):
     ({"E6": 1}, "'E6'", ["E(5,)", "E5"]),
     ({"S": 1, "E12": 1}, "'E12'", ["E01"]),
     ({"E1": 2**63}, "terms[E1]", ["E0"]),
+    ({"E1": 2**62, " E1": 2**62}, "' E1'", ["E0"]),
 ])
 def test_chow_term_errors_name_the_term_as_written(capsys, tmp_path, terms,
                                                    written, internal):
