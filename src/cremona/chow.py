@@ -124,9 +124,12 @@ def parse_name(name: str) -> tuple[str, tuple[int, ...], int]:
 
     Index digits are single characters (all rings here have < 10 points);
     the sub-index is a point label in ASCII digits, read by ``ascii_int``
-    and never negative (-1 is what a name without one gets).
+    and never negative (-1 is what a name without one gets).  A name with
+    surrounding whitespace is refused, not stripped.
     """
-    name = full = name.strip()
+    if name != name.strip():
+        raise UnknownSymbolError(f"cannot parse cycle name {name!r}")
+    full = name
     if name == "1":
         return ("one", (), -1)
     sub = -1
@@ -642,6 +645,14 @@ class IntRecord:
                                int_tuple(getattr(self, name), n, name))
 
 
+def check_kind(rec, record_type):
+    """Refuse a record of any type but record_type: twin kinds (a divisor
+    and a curve record, say) share their fields, so a kind-specific map
+    would read the one as the other."""
+    if not isinstance(rec, record_type):
+        raise TypeError(f"not a {record_type.__name__}: {rec!r}")
+
+
 def record_layout(ring, record_type, lead, *fields):
     """Where the entries of an IntRecord type sit in ring, looked up once.
 
@@ -666,9 +677,10 @@ def record_class(layout, rec):
 
     Its coefficients sit on the layout's own ring elements, which are
     distinct and of one grade, so no term needs the per-term check of
-    ``make_class``; only the 64-bit bound is checked.
+    ``make_class``; only the 64-bit bound and the record type are checked.
     """
-    ring, _, lead, rest = layout
+    ring, record_type, lead, rest = layout
+    check_kind(rec, record_type)
     items = [(lead, rec.d)]
     for name, sign, elems in rest:
         items += zip(elems, [sign * v for v in getattr(rec, name)])

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .chow import (ChowClass, ChowRing, ImageRows, IntRecord,
-                   WrongGradeError, build_once, linear_map, record_class,
-                   record_from_class, record_layout)
+                   WrongGradeError, build_once, check_kind, linear_map,
+                   record_class, record_from_class, record_layout)
 
 POINTS = tuple(range(4))
 PAIRS = tuple(combinations(POINTS, 2))
@@ -201,6 +201,7 @@ def curve_from_class(x: ChowClass) -> P3Curve:
 
 def cremona_divisor(D: P3Divisor) -> P3Divisor:
     """Cremona image of a divisor record; involutive."""
+    check_kind(D, P3Divisor)
     d, m, nl = D.d, D.m, D.nl
     tot = sum(m)
     m2 = tuple([2 * d - tot + x for x in m])
@@ -215,6 +216,7 @@ def cremona_curve(C: P3Curve) -> P3Curve:
     With all n_ij = 0 this restricts to the multiplicity-only rule
     d' = 3d - 2*sum(m), m_i' = d - sum of the other three.
     """
+    check_kind(C, P3Curve)
     d, m, nl = C.d, C.m, C.nl
     tot = sum(m)
     m2 = tuple([d - tot + x - sum([nl[a] for a in pairs])

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .chow import (ChowClass, ChowRing, ImageRows, IntRecord,
-                   WrongGradeError, build_once, linear_map, record_class,
-                   record_from_class, record_layout)
+                   WrongGradeError, build_once, check_kind, linear_map,
+                   record_class, record_from_class, record_layout)
 
 POINTS = tuple(range(5))
 PAIRS = tuple(combinations(POINTS, 2))
@@ -470,6 +470,7 @@ def surface_from_class(x: ChowClass) -> P4Surface:
 
 def cremona_divisor(D: P4Divisor) -> P4Divisor:
     """Cremona image of a divisor record; involutive."""
+    check_kind(D, P4Divisor)
     d, m, ml, mp = D.d, D.m, D.ml, D.mp
     tot = sum(m)
     m2 = tuple([3 * d - tot + x for x in m])
@@ -483,6 +484,7 @@ def cremona_divisor(D: P4Divisor) -> P4Divisor:
 
 def cremona_curve(C: P4Curve) -> P4Curve:
     """Cremona image of a curve record; involutive."""
+    check_kind(C, P4Curve)
     d, m, ml, mp = C.d, C.m, C.ml, C.mp
     tot = sum(m)
     d2 = 4 * d - 3 * tot - 2 * sum(ml) - sum(mp)
@@ -497,6 +499,7 @@ def cremona_curve(C: P4Curve) -> P4Curve:
 
 def cremona_surface(T: P4Surface) -> P4Surface:
     """Cremona image of a surface record; involutive."""
+    check_kind(T, P4Surface)
     d, m, ml, nl, mp, np = T.d, T.m, T.ml, T.nl, T.mp, T.np
     tot = sum(m)
     mln = [x - y for x, y in zip(ml, nl)]

@@ -23,7 +23,7 @@ from itertools import combinations
 from math import isqrt
 from operator import mul
 
-from .chow import IntRecord, ascii_int, int_tuple
+from .chow import IntRecord, ascii_int, check_kind, int_tuple
 
 POINT_COUNTS = (6, 7, 8)
 
@@ -180,10 +180,6 @@ class Perm:
     def inverse(self):
         return Perm(_scatter(range(1, self.s + 1), self.image))
 
-    @classmethod
-    def identity(cls, s):
-        return cls(tuple(range(1, s + 1)))
-
 
 @dataclass(frozen=True, order=True)
 class Cremona5:
@@ -231,6 +227,7 @@ def _cremona5_point(cls, rec, centers, a, b):
     # the five point Cremona on a point record, as a cls record: with
     # K = (sum of the center entries) - a*d, each center entry drops by K
     # and the degree by b*K; (a, b) is (3, 1) on divisors, (1, 3) on curves
+    check_kind(rec, cls)
     c = _check_centers(rec.s, centers)
     m = list(rec.m)
     k = sum([m[i - 1] for i in c]) - a * rec.d
@@ -646,10 +643,6 @@ class OrbitResult:
     type_census: dict
 
 
-def _word_of_perm(perm):
-    return () if perm.is_identity else (perm,)
-
-
 def _orbit_cap(budget):
     # a budget argument is a real int, like every record entry; the
     # environment override is text and must spell one in ASCII digits;
@@ -671,78 +664,63 @@ def _orbit_cap(budget):
 
 
 def orbit(seed, budget=None):
-    """Breadth-first closure of a record under Cremonas and relabelings.
+    """Breadth-first closure of a record under the s simple reflections.
 
-    The BFS runs over canonical forms with every choice of five centers;
-    the labeled members are then filled in by relabeling each canonical
-    class.  Images of nonpositive degree are set aside as contracted and
-    not expanded.  Witness words are shortest-found, with deterministic
-    ordering, so repeated runs agree.  budget, an int, caps the member
-    count (default 10**6, or the integer in the CREMONA_ORBIT_BUDGET
-    environment variable, ASCII digits with an optional minus sign) and a
-    blowout raises OrbitBudgetExceededError; a budget that is not an
-    integer, or is negative, raises ValueError.
+    The simple reflections are the s - 1 adjacent swaps and the Cremona at
+    the points 1..5; they generate the relabelings and the Cremonas at
+    every five centers, so the members are the labeled records of positive
+    degree that words in them reach.  An image of nonpositive degree is
+    set aside as contracted, by its canonical form, and not expanded.
+    Witness words are shortest in the simple reflections, with each run of
+    swaps folded into one relabeling; the walk order is fixed, so repeated
+    runs agree.  budget, an int, caps the member count (default 10**6, or
+    the integer in the CREMONA_ORBIT_BUDGET environment variable, ASCII
+    digits with an optional minus sign): more labeled members than the cap
+    raise OrbitBudgetExceededError.  A budget that is not an integer, or is
+    negative, raises ValueError.
     """
     cap = _orbit_cap(budget)
     if seed.d <= 0:
         raise ValueError("orbit wants a record of positive degree")
     s = seed.s
-    gens = [Cremona5(c) for c in combinations(range(1, s + 1), 5)]
-    can0, perm0 = canonical_form(seed)
-    words = {can0: _word_of_perm(perm0)}
-    frontier = [can0]
+    gens = [Cremona5((1, 2, 3, 4, 5))]
+    for t in range(1, s):
+        image = list(range(1, s + 1))
+        image[t - 1], image[t] = t + 1, t
+        gens.append(Perm(tuple(image)))
+    witnesses = {seed: ()}
+    frontier = [seed]
     contracted = set()
     while frontier:
         grown = []
         for rec in frontier:
-            stem = words[rec]
+            stem = witnesses[rec]
             for gen in gens:
-                img = apply_cremona5(rec, gen.centers)
+                img = apply_generator(rec, gen)
                 if img.d <= 0:
                     contracted.add(canonical_form(img)[0])
                     continue
-                can, perm = canonical_form(img)
-                if can in words:
+                if img in witnesses:
                     continue
-                words[can] = stem + (gen,) + _word_of_perm(perm)
-                if len(words) > cap:
+                witnesses[img] = _then(stem, gen)
+                if len(witnesses) > cap:
                     raise OrbitBudgetExceededError(
-                        f"more than {cap} orbit classes from {seed!r}")
-                grown.append(can)
+                        f"more than {cap} labeled members from {seed!r}")
+                grown.append(img)
         frontier = sorted(grown)
-    swaps = []
-    for t in range(1, s):
-        image = list(range(1, s + 1))
-        image[t - 1], image[t] = image[t], image[t - 1]
-        swaps.append(Perm(tuple(image)))
-    witnesses = {}
-    for can in sorted(words):
-        stem = words[can]
-        witnesses[can] = stem
-        reached = {can: Perm.identity(s)}
-        frontier = [can]
-        while frontier:
-            grown = []
-            for member in frontier:
-                sig = reached[member]
-                for tau in swaps:
-                    child = _relabel(member, tau.image)
-                    if child in reached:
-                        continue
-                    comp = _prechecked(
-                        Perm, tuple(tau.image[v - 1] for v in sig.image))
-                    reached[child] = comp
-                    witnesses[child] = stem + (comp,)
-                    if len(witnesses) > cap:
-                        raise OrbitBudgetExceededError(
-                            f"more than {cap} labeled members from {seed!r}")
-                    grown.append(child)
-            frontier = sorted(grown)
     members = tuple(sorted(witnesses))
     census = Counter(record_tag(r) for r in members)
     return OrbitResult(seed=seed, members=members, witnesses=witnesses,
                        contracted=tuple(sorted(contracted)),
                        type_census=dict(census))
+
+
+def _then(word, gen):
+    # word followed by gen, a relabeling gen folded into a trailing Perm
+    if isinstance(gen, Perm) and word and isinstance(word[-1], Perm):
+        image = tuple([gen.image[v - 1] for v in word[-1].image])
+        return word[:-1] + (_prechecked(Perm, image),)
+    return word + (gen,)
 
 
 @lru_cache(maxsize=None)

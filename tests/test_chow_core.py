@@ -1,6 +1,7 @@
 """Ring-independent Chow class machinery: construction, products, degree."""
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -64,6 +65,13 @@ def test_parse_name_examples():
     for bad in ("V012,+1", "V012, 1", "V012,\u0661", "V012,1_0", "H,-1",
                 "V012,"):
         with pytest.raises(chow.UnknownSymbolError, match="V012|H,-1"):
+            chow.parse_name(bad)
+
+
+def test_parse_name_refuses_surrounding_whitespace():
+    # the name used to be stripped, so " E1 " read as E1
+    for bad in (" E1", "E1 ", " E1 ", "\tH", "V012,1\n", " 1"):
+        with pytest.raises(chow.UnknownSymbolError, match=re.escape(repr(bad))):
             chow.parse_name(bad)
 
 

@@ -156,16 +156,23 @@ def test_builtin_orbit_prints_what_the_search_finds(capsys, tmp_path, kind, s,
 
 
 @pytest.mark.parametrize("kind", ["line", "plane", "divisor"])
-def test_builtin_orbit_budget_boundary(capsys, monkeypatch, kind):
-    # the search's rule: more labeled members than the cap exit 3
-    n = len(searched_orbit(kind, 8).members)
-    monkeypatch.setenv("CREMONA_ORBIT_BUDGET", str(n))
-    rc, out, _ = run(capsys, "orbit", "--kind", kind)
-    assert rc == 0 and out == f"members: {n}\n"
-    monkeypatch.setenv("CREMONA_ORBIT_BUDGET", str(n - 1))
-    rc, out, err = run(capsys, "orbit", "--kind", kind)
-    assert rc == 3 and out == ""
-    assert err.startswith(f"error: more than {n - 1} labeled members")
+def test_builtin_orbit_budget_boundary(capsys, monkeypatch, tmp_path, kind):
+    # the search's rule, on the closed forms and on the search itself:
+    # more labeled members than the cap exit 3; the seed file path printed
+    # 57 members under a cap of 56 for the hyperplane seed at s = 7
+    sizes = {s: len(searched_orbit(kind, s).members) for s in weyl.POINT_COUNTS}
+    for s, n in sizes.items():
+        seed = record_file(tmp_path / f"{kind}{s}.json",
+                           cli.builtin_seed(kind, s))
+        for source in (["--kind", kind], ["--seed", seed]):
+            argv = ["orbit", *source, "--s", str(s)]
+            monkeypatch.setenv("CREMONA_ORBIT_BUDGET", str(n))
+            rc, out, _ = run(capsys, *argv)
+            assert rc == 0 and out == f"members: {n}\n", argv
+            monkeypatch.setenv("CREMONA_ORBIT_BUDGET", str(n - 1))
+            rc, out, err = run(capsys, *argv)
+            assert rc == 3 and out == "", argv
+            assert err.startswith(f"error: more than {n - 1} labeled members")
 
 
 def test_only_a_custom_seed_runs_the_search(capsys, monkeypatch, tmp_path):
@@ -367,6 +374,7 @@ def test_chow_sub_index_is_an_ascii_integer(capsys, tmp_path, name):
     ({"S": 1, "E12": 1}, "'E12'", ["E01"]),
     ({"E1": 2**63}, "terms[E1]", ["E0"]),
     ({"E1": 2**62, " E1": 2**62}, "' E1'", ["E0"]),
+    ({" E1 ": 1}, "' E1 '", ["E0"]),
 ])
 def test_chow_term_errors_name_the_term_as_written(capsys, tmp_path, terms,
                                                    written, internal):

@@ -1,10 +1,12 @@
 """Weyl orbits of lines, planes and hyperplanes through 6, 7, 8 points:
 member counts, censuses, witnesses, closure, budget handling."""
 
+import random
 from collections import Counter
 from dataclasses import astuple
 from itertools import combinations
 from math import factorial
+from operator import add
 
 import pytest
 
@@ -185,19 +187,78 @@ def test_labeled_members_pass_the_record_checks():
                     assert type(gen.image) is tuple
 
 
+ORACLE_BUDGET = 300
+
+
+def _seeded_seeds(kind, count=30):
+    # count seeds of one kind, cycling s through 6, 7, 8: divisor and curve
+    # records with 1 <= d <= 3 and the multiplicities two values in 0..d,
+    # shuffled; a Weyl plane taken at random, every fourth one on six
+    # points summed with a second
+    rng = random.Random(f"orbit-oracle-{kind}")
+    for k in range(count):
+        s = weyl.POINT_COUNTS[k % 3]
+        if kind == "surface":
+            T = rng.choice(weyl.weyl_planes(s))
+            if k % 12 == 0:
+                U = rng.choice(weyl.weyl_planes(s))
+                T = weyl.SurfaceRecord(s, *[
+                    tuple(map(add, a, b)) if isinstance(a, tuple) else a + b
+                    for a, b in zip(astuple(T)[1:], astuple(U)[1:])])
+            yield T
+        else:
+            d = rng.randint(1, 3)
+            high, low = rng.randint(0, d), rng.randint(0, d)
+            m = [high] * rng.randint(0, s)
+            m += [low] * (s - len(m))
+            rng.shuffle(m)
+            cls = weyl.DivisorRecord if kind == "divisor" else weyl.CurveRecord
+            yield cls(s, d, tuple(m))
+
+
+def _check_closed_orbit(res, closed):
+    # every witness reaches its member from the seed, which is a member;
+    # the members are closed under every generator image of positive
+    # degree, and contracted is exactly the canonical forms of the images
+    # of degree <= 0.  Closure and witnesses together pin the member set.
+    # closed maps member tuples already checked to their contracted forms,
+    # so a second seed of one orbit checks only its witnesses
+    seed, s = res.seed, res.seed.s
+    members = set(res.members)
+    assert seed in members and set(res.witnesses) == members
+    assert all(weyl.apply_word(seed, word) == rec
+               for rec, word in res.witnesses.items())
+    if res.members in closed:
+        assert closed[res.members] == res.contracted
+        return
+    swaps = [weyl.Perm(tuple(range(1, t)) + (t + 1, t) + tuple(range(t + 2, s + 1)))
+             for t in range(1, s)]
+    images = [weyl.apply_cremona5(rec, centers) for rec in res.members
+              for centers in combinations(range(1, s + 1), 5)]
+    images += [weyl.apply_perm(rec, tau) for rec in res.members for tau in swaps]
+    assert all(img in members for img in images if img.d > 0)
+    contracted = {img for img in images if img.d <= 0}
+    assert {weyl.canonical_form(img)[0] for img in contracted} == \
+        set(res.contracted)
+    closed[res.members] = res.contracted
+
+
 def test_members_closed_under_generators():
+    # the builtin line and plane orbits, then 30 seeded seeds per kind;
+    # a seed whose orbit outgrows the budget is skipped, and every kind
+    # keeps checked seeds on each point count
+    closed, checked = {}, Counter()
     for res in (weyl.line_orbit(8), weyl.plane_orbit(8)):
-        apply5 = (weyl.cremona5_curve if isinstance(res.seed, weyl.CurveRecord)
-                  else weyl.cremona5_surface)
-        members = set(res.members)
-        contracted = set(res.contracted)
-        for rec in res.members:
-            for centers in combinations(range(1, 9), 5):
-                img = apply5(rec, centers)
-                if img.d > 0:
-                    assert img in members
-                else:
-                    assert weyl.canonical_form(img)[0] in contracted
+        _check_closed_orbit(res, closed)
+    for kind in ("divisor", "curve", "surface"):
+        for seed in _seeded_seeds(kind):
+            try:
+                res = weyl.orbit(seed, budget=ORACLE_BUDGET)
+            except weyl.OrbitBudgetExceededError:
+                continue
+            _check_closed_orbit(res, closed)
+            checked[kind, seed.s] += 1
+    assert len(checked) == 9 and sum(checked.values()) >= 70, checked
 
 
 def test_line_orbit_contracted_records():

@@ -1,10 +1,11 @@
 """The record codec of chow: record_layout checks a layout against the
 record type's FIELDS when the ring is built, and record_from_class holds
-the one ring and grade check of every *_from_class converter."""
+the one ring and grade check of every *_from_class converter.  The
+kind-specific record maps refuse every other record type."""
 
 import pytest
 
-from cremona import chow, p3, p4
+from cremona import chow, p3, p4, weyl
 
 CONVERTERS = [
     (p3, p3.divisor_from_class, p3.divisor_class, p3.P3Divisor, 1),
@@ -90,3 +91,41 @@ def test_record_fields_follow_d():
     for cls in (p3.P3Divisor, p3.P3Curve, p4.P4Divisor, p4.P4Curve,
                 p4.P4Surface):
         assert cls.__match_args__ == ("d",) + tuple(n for n, _ in cls.FIELDS)
+
+
+def _zero_record(cls):
+    return cls(1, *[(0,) * n for _, n in cls.FIELDS])
+
+
+RECORDS = [_zero_record(cls) for cls in (p3.P3Divisor, p3.P3Curve,
+                                         p4.P4Divisor, p4.P4Curve,
+                                         p4.P4Surface)]
+RECORDS += [weyl.hyperplane_record((1, 2, 3, 4)), weyl.line_record(1, 2),
+            weyl.s1_plane(1, 2, 3), None]
+CENTERS = (1, 2, 3, 4, 5)
+KIND_MAPS = {
+    "p3.cremona_divisor": (p3.cremona_divisor, p3.P3Divisor),
+    "p3.cremona_curve": (p3.cremona_curve, p3.P3Curve),
+    "p4.cremona_divisor": (p4.cremona_divisor, p4.P4Divisor),
+    "p4.cremona_curve": (p4.cremona_curve, p4.P4Curve),
+    "p4.cremona_surface": (p4.cremona_surface, p4.P4Surface),
+    "weyl.cremona5_divisor": (
+        lambda rec: weyl.cremona5_divisor(rec, CENTERS), weyl.DivisorRecord),
+    "weyl.cremona5_curve": (
+        lambda rec: weyl.cremona5_curve(rec, CENTERS), weyl.CurveRecord),
+}
+KIND_MAPS.update((f"{mod.__name__[8:]}.{to_class.__name__}", (to_class, cls))
+                 for mod, _, to_class, cls, _ in CONVERTERS)
+
+
+@pytest.mark.parametrize("step, cls", KIND_MAPS.values(), ids=KIND_MAPS)
+def test_record_maps_refuse_the_twin_kind(step, cls):
+    # the twin kind shares its fields: cremona5_divisor of the line L_12
+    # returned DivisorRecord(s=8, d=2, m=(2, 2, 1, 1, 1, 0, 0, 0)), and
+    # p3.divisor_class of a P3Curve read its fields as a divisor's
+    own, = [rec for rec in RECORDS if type(rec) is cls]
+    assert type(step(own)) in (cls, chow.ChowClass)
+    for rec in RECORDS:
+        if rec is not own:
+            with pytest.raises(TypeError, match=f"not a {cls.__name__}"):
+                step(rec)
