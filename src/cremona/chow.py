@@ -31,7 +31,7 @@ import functools
 import re
 import threading
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 INT64_MAX = 2**63 - 1
 
@@ -72,30 +72,75 @@ class FinalizedRingError(ChowError):
     """The ring is finalized: its basis, products and symbols are fixed."""
 
 
-@dataclass(frozen=True, order=True)
-class BasisElement:
+class Value:
+    """Base of the package's frozen value types.
+
+    A subclass names its fields, in order, in ``__match_args__``; its
+    ``__init__`` stores their checked values for good.  Values compare,
+    order and hash as field tuples, within one class: twin kinds stay apart.
+    """
+
+    __match_args__ = ()
+
+    def __init_subclass__(cls):
+        names = cls.__match_args__
+        if names:  # _fields: the field tuple, read by one C call
+            get = attrgetter(*names)
+            cls._fields = property(get if len(names) > 1
+                                   else lambda value: (get(value),))
+
+    def _set(self, *values):
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        body = ", ".join([f"{name}={getattr(self, name)!r}"
+                          for name in self.__match_args__])
+        return f"{type(self).__qualname__}({body})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields == other._fields
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields)
+
+    # > and >= are the reflections of < and <=
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields < other._fields
+        return NotImplemented
+
+    def __le__(self, other):
+        return self == other or self < other
+
+
+class BasisElement(Value):
     """A named basis cycle: ring id, grade, kind tag, sorted index set.
 
     ``sub`` is -1 except for the vertical surface classes in the P^4 ring,
     where it singles out one member of ``idx``.
     """
 
-    ring: str
-    grade: int
-    kind: str
-    idx: tuple[int, ...] = ()
-    sub: int = -1
-    # computed once: every dict probe on a class or on a ring's index
-    # hashes its key
-    _hash: int = field(init=False, compare=False, repr=False)
+    __match_args__ = ("ring", "grade", "kind", "idx", "sub")
 
-    def __post_init__(self):
-        if list(self.idx) != sorted(set(self.idx)):
-            raise ValueError(f"index set must be strictly increasing: {self.idx!r}")
-        if self.sub != -1 and self.sub not in self.idx:
-            raise ValueError(f"sub-index {self.sub} not in {self.idx!r}")
-        object.__setattr__(self, "_hash", hash(
-            (self.ring, self.grade, self.kind, self.idx, self.sub)))
+    def __init__(self, ring: str, grade: int, kind: str,
+                 idx: tuple[int, ...] = (), sub: int = -1):
+        if list(idx) != sorted(set(idx)):
+            raise ValueError(f"index set must be strictly increasing: {idx!r}")
+        if sub != -1 and sub not in idx:
+            raise ValueError(f"sub-index {sub} not in {idx!r}")
+        self._set(ring, grade, kind, idx, sub)
+        # computed once: every dict probe on a class or on a ring's index
+        # hashes its key
+        object.__setattr__(self, "_hash", hash((ring, grade, kind, idx, sub)))
 
     def __hash__(self):
         return self._hash
@@ -103,8 +148,7 @@ class BasisElement:
     def __reduce__(self):
         # rebuilt on unpickling, so the stored hash follows that process's
         # string hashing
-        return (BasisElement, (self.ring, self.grade, self.kind, self.idx,
-                               self.sub))
+        return (BasisElement, self._fields)
 
     @property
     def name(self) -> str:
@@ -627,22 +671,21 @@ def build_once(build):
 
 # -- records: fixed-length integer views of the classes of one grade ------
 
-class IntRecord:
+class IntRecord(Value):
     """Base of the fixed-length integer records: the one entry check.
 
-    A record dataclass has an int field d and, after it, the tuple fields
-    it lists in FIELDS as (name, length) pairs; construction refuses a d
-    or an entry that is not exactly an int, and a wrong length, and
-    stores each field as a tuple.
+    A record's ``__match_args__`` ends with an int field d and the tuple
+    fields it lists in FIELDS as (name, length) pairs.  ``_set_entries``
+    refuses a d or an entry that is not exactly an int, and a wrong
+    length, and stores d and each field as a tuple.
     """
 
     FIELDS = ()
 
-    def __post_init__(self):
-        int_tuple((self.d,), 1, "d")
-        for name, n in self.FIELDS:
-            object.__setattr__(self, name,
-                               int_tuple(getattr(self, name), n, name))
+    def _set_entries(self, d, *fields):
+        object.__setattr__(self, "d", int_tuple((d,), 1, "d")[0])
+        for (name, n), values in zip(self.FIELDS, fields):
+            object.__setattr__(self, name, int_tuple(values, n, name))
 
 
 def check_kind(rec, record_type):

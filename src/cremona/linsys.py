@@ -7,14 +7,13 @@ Weyl cycles (lines, quartics, planes, hyperplane classes) are forced
 into the base locus.  Everything is exact integer arithmetic.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 from operator import mul
 
 from . import weyl
-from .chow import int_tuple
+from .chow import Value, int_tuple
 
 
 def _c4(a):
@@ -27,8 +26,7 @@ def _c4(a):
 MAX_QUARTIC_SUBSETS = 250_000
 
 
-@dataclass(frozen=True)
-class FatPointDivisor:
+class FatPointDivisor(Value):
     """The class dH - sum m_i E_i on s general points.
 
     Plain container: s, d and the m_i must be real ints (a bool or a
@@ -38,15 +36,13 @@ class FatPointDivisor:
     6 <= s <= 8.
     """
 
-    s: int
-    d: int
-    m: tuple
+    __match_args__ = ("s", "d", "m")
 
-    def __post_init__(self):
-        s, _ = int_tuple((self.s, self.d), 2, "s and d")
+    def __init__(self, s, d, m):
+        int_tuple((s, d), 2, "s and d")
         if s < 1:
             raise ValueError("need at least one point")
-        object.__setattr__(self, "m", int_tuple(self.m, s, "m"))
+        self._set(s, d, int_tuple(m, s, "m"))
 
 
 def _weyl_points(D):
@@ -287,8 +283,7 @@ def _plane_table(s):
             tuple(labels[i] for i in order), later)
 
 
-@dataclass(frozen=True)
-class BaseLocusReport:
+class BaseLocusReport(Value):
     """Positive containment multiplicities of Weyl cycles in Bs|D|.
 
     lines maps a pair (i, j) to k_L > 0, quartics maps the Q_k label k
@@ -303,14 +298,13 @@ class BaseLocusReport:
     wdim(D, lines_only=True).
     """
 
-    lines: dict
-    quartics: dict
-    planes: dict
-    pairwise_conflicts: tuple
-    empties_hint: bool
-    deep_curves: tuple
-    chi: int
-    h1corr: int
+    __match_args__ = ("lines", "quartics", "planes", "pairwise_conflicts",
+                      "empties_hint", "deep_curves", "chi", "h1corr")
+
+    def __init__(self, lines, quartics, planes, pairwise_conflicts,
+                 empties_hint, deep_curves, chi, h1corr):
+        self._set(lines, quartics, planes, pairwise_conflicts, empties_hint,
+                  deep_curves, chi, h1corr)
 
 
 def base_locus_report(D):

@@ -21,7 +21,6 @@ so effective geometry has nonnegative entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .chow import (ChowClass, ChowRing, ImageRows, IntRecord,
@@ -119,15 +118,14 @@ def _involution_images(R: ChowRing) -> dict:
     return img
 
 
-@dataclass(frozen=True)
 class _P3Record(IntRecord):
     # the body shared by divisor and curve records (distinct types)
 
     FIELDS = (("m", 4), ("nl", 6))
+    __match_args__ = ("d", "m", "nl")
 
-    d: int
-    m: tuple
-    nl: tuple
+    def __init__(self, d, m, nl):
+        self._set_entries(d, m, nl)
 
 
 class P3Divisor(_P3Record):

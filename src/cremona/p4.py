@@ -33,7 +33,6 @@ nonnegative multiplicities):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .chow import (ChowClass, ChowRing, ImageRows, IntRecord,
@@ -343,16 +342,14 @@ def _involution_images(R: ChowRing) -> dict:
     return img
 
 
-@dataclass(frozen=True)
 class _P4Record(IntRecord):
     # the body shared by divisor and curve records (distinct types)
 
     FIELDS = (("m", 5), ("ml", 10), ("mp", 10))
+    __match_args__ = ("d", "m", "ml", "mp")
 
-    d: int
-    m: tuple
-    ml: tuple
-    mp: tuple
+    def __init__(self, d, m, ml, mp):
+        self._set_entries(d, m, ml, mp)
 
 
 class P4Divisor(_P4Record):
@@ -363,7 +360,6 @@ class P4Curve(_P4Record):
     """Curve record (d; m by point; ml by pair; mp by triple)."""
 
 
-@dataclass(frozen=True)
 class P4Surface(IntRecord):
     """Surface record (d; m; ml, nl by pair; mp by triple; np by V slot).
 
@@ -373,13 +369,10 @@ class P4Surface(IntRecord):
     """
 
     FIELDS = (("m", 5), ("ml", 10), ("nl", 10), ("mp", 10), ("np", 30))
+    __match_args__ = ("d", "m", "ml", "nl", "mp", "np")
 
-    d: int
-    m: tuple
-    ml: tuple
-    nl: tuple
-    mp: tuple
-    np: tuple
+    def __init__(self, d, m, ml, nl, mp, np):
+        self._set_entries(d, m, ml, nl, mp, np)
 
 
 class _Tables:

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import isqrt
 from operator import mul
+from types import MappingProxyType
 
-from .chow import IntRecord, ascii_int, check_kind, int_tuple
+from .chow import IntRecord, Value, ascii_int, check_kind, int_tuple
 
 POINT_COUNTS = (6, 7, 8)
 
@@ -88,19 +88,30 @@ _DEAD_SLOTS = {s: (tuple(range(s + 1, 9)),
                for s in POINT_COUNTS}
 
 
-@dataclass(frozen=True, order=True)
-class _PointRecord:
-    # the body shared by divisor and curve records; the two stay distinct
-    # types, so equal fields of different kinds never compare equal
+class _PointRecord(Value):
+    # the body shared by divisor and curve records (distinct types); an
+    # orbit walk builds, hashes and sorts these, so each step is written out
 
-    s: int
-    d: int
-    m: tuple
+    __match_args__ = ("s", "d", "m")
 
-    def __post_init__(self):
-        _check_point_count(self.s)
-        int_tuple((self.d,), 1, "d")
-        object.__setattr__(self, "m", int_tuple(self.m, self.s, "m"))
+    def __init__(self, s, d, m):
+        _check_point_count(s)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "d", int_tuple((d,), 1, "d")[0])
+        object.__setattr__(self, "m", int_tuple(m, s, "m"))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.s, self.d, self.m) == (other.s, other.d, other.m)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.s, self.d, self.m))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.s, self.d, self.m) < (other.s, other.d, other.m)
+        return NotImplemented
 
 
 class DivisorRecord(_PointRecord):
@@ -111,7 +122,6 @@ class CurveRecord(_PointRecord):
     """Curve record (d; m_1 ... m_s) for degree and point multiplicities."""
 
 
-@dataclass(frozen=True, order=True)
 class SurfaceRecord(IntRecord):
     """Surface record: degree, point multiplicities m_i, quartic
     multiplicities n_k (along Q_k) and line multiplicities m_ij (along L_ij).
@@ -121,16 +131,12 @@ class SurfaceRecord(IntRecord):
     """
 
     FIELDS = (("m", 8), ("n", 8), ("mline", 28))
+    __match_args__ = ("s", "d", "m", "n", "mline")
 
-    s: int
-    d: int
-    m: tuple
-    n: tuple
-    mline: tuple
-
-    def __post_init__(self):
-        _check_point_count(self.s)
-        super().__post_init__()
+    def __init__(self, s, d, m, n, mline):
+        _check_point_count(s)
+        object.__setattr__(self, "s", s)
+        self._set_entries(d, m, n, mline)
         points, quartics, lines = _DEAD_SLOTS[self.s]
         for i in points:
             if self.m[i - 1] != 0:
@@ -142,6 +148,22 @@ class SurfaceRecord(IntRecord):
             if self.mline[pos] != 0:
                 i, j = PAIRS8[pos]
                 raise ValueError(f"line L_{i}{j} does not exist for s={self.s}")
+
+    # written out as for point records: orbit walks and the plane tables
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.s, self.d, self.m, self.n, self.mline)
+                    == (other.s, other.d, other.m, other.n, other.mline))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.s, self.d, self.m, self.n, self.mline))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.s, self.d, self.m, self.n, self.mline)
+                    < (other.s, other.d, other.m, other.n, other.mline))
+        return NotImplemented
 
     def line(self, i, j):
         """Multiplicity along the line L_ij, for labels i != j in 1..8."""
@@ -155,14 +177,13 @@ class SurfaceRecord(IntRecord):
 
 # -- generators --------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class Perm:
+class Perm(Value):
     """Relabeling of the points; image[i-1] is where point i goes."""
 
-    image: tuple
+    __match_args__ = ("image",)
 
-    def __post_init__(self):
-        img = tuple(self.image)
+    def __init__(self, image):
+        img = tuple(image)
         _check_labels(img, len(img), len(img))
         object.__setattr__(self, "image", img)
 
@@ -181,14 +202,13 @@ class Perm:
         return Perm(_scatter(range(1, self.s + 1), self.image))
 
 
-@dataclass(frozen=True, order=True)
-class Cremona5:
+class Cremona5(Value):
     """Standard Cremona transformation centered at five of the points."""
 
-    centers: tuple
+    __match_args__ = ("centers",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "centers", _check_centers(8, self.centers))
+    def __init__(self, centers):
+        object.__setattr__(self, "centers", _check_centers(8, centers))
 
 
 def _check_centers(s, centers):
@@ -315,8 +335,8 @@ def _scatter(values, image):
 
 
 def _prechecked(cls, *values):
-    # an instance of the frozen dataclass cls (a record or a Perm) from
-    # field values that are already known to pass its __post_init__ checks
+    # cls(*values) for values known to pass its checks, with Value._set
+    # written out: every relabeling in an orbit walk comes through here
     obj = object.__new__(cls)
     for name, value in zip(cls.__match_args__, values):
         object.__setattr__(obj, name, value)
@@ -439,7 +459,7 @@ def canonical_form(rec):
 
 
 def _permuted_surface_data(rec, image):
-    # raw (m, n, mline) tuples of the relabeled record, no dataclass cost
+    # the (m, n, mline) tuples of the relabeled record, without building it
     img = tuple(image) + tuple(range(rec.s + 1, 9))
     ml = [0] * 28
     for k, (i, j) in enumerate(PAIRS8):
@@ -626,8 +646,7 @@ def record_tag(rec):
 
 # -- orbits ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrbitResult:
+class OrbitResult(Value):
     """Closure of a seed record under the Weyl generators.
 
     members: every labeled record in the orbit, sorted.
@@ -636,11 +655,11 @@ class OrbitResult:
     type_census: census of members by record_tag.
     """
 
-    seed: object
-    members: tuple
-    witnesses: dict
-    contracted: tuple
-    type_census: dict
+    __match_args__ = ("seed", "members", "witnesses", "contracted",
+                      "type_census")
+
+    def __init__(self, seed, members, witnesses, contracted, type_census):
+        self._set(seed, members, witnesses, contracted, type_census)
 
 
 def _orbit_cap(budget):
@@ -710,9 +729,11 @@ def orbit(seed, budget=None):
         frontier = sorted(grown)
     members = tuple(sorted(witnesses))
     census = Counter(record_tag(r) for r in members)
-    return OrbitResult(seed=seed, members=members, witnesses=witnesses,
+    # read-only, as the orbits of the built-in seeds are cached and shared
+    return OrbitResult(seed=seed, members=members,
+                       witnesses=MappingProxyType(witnesses),
                        contracted=tuple(sorted(contracted)),
-                       type_census=dict(census))
+                       type_census=MappingProxyType(dict(census)))
 
 
 def _then(word, gen):

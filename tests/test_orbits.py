@@ -3,7 +3,6 @@ member counts, censuses, witnesses, closure, budget handling."""
 
 import random
 from collections import Counter
-from dataclasses import astuple
 from itertools import combinations
 from math import factorial
 from operator import add
@@ -11,6 +10,12 @@ from operator import add
 import pytest
 
 from cremona import weyl
+
+
+def astuple(rec):
+    # the field tuple, in the order __match_args__ names the fields
+    return tuple(getattr(rec, name) for name in type(rec).__match_args__)
+
 
 HYPERPLANE_CENSUS_8 = {
     "(1;11110000)": 70,
@@ -156,6 +161,23 @@ def test_orbits_6():
     res = weyl.divisor_orbit(6)
     assert len(res.members) == 15
     assert dict(res.type_census) == {"(1;111100)": 15}
+
+
+def test_cached_orbits_are_read_only():
+    # the built-in seeds' orbits are cached: a caller that clears the
+    # witnesses would leave every later plane_orbit(7) with 0 witnesses and
+    # 42 members.  Each write below would change nothing if it went through
+    for res in (weyl.line_orbit(7), weyl.plane_orbit(7), weyl.divisor_orbit(7)):
+        seed, tag = res.seed, weyl.record_tag(res.seed)
+        with pytest.raises(TypeError):
+            res.witnesses[seed] = res.witnesses[seed]
+        with pytest.raises(TypeError):
+            res.type_census[tag] = res.type_census[tag]
+        for table in (res.witnesses, res.type_census):
+            assert not hasattr(table, "update")
+    res = weyl.plane_orbit(7)
+    assert len(res.witnesses) == len(res.members) == 42
+    assert weyl.orbit(res.seed).witnesses == res.witnesses
 
 
 def test_witnesses_reach_every_member():

@@ -87,7 +87,7 @@ def test_layout_must_match_the_record_fields():
 
 
 def test_record_fields_follow_d():
-    # FIELDS names the dataclass fields after d, in order
+    # FIELDS names the record fields after d, in order
     for cls in (p3.P3Divisor, p3.P3Curve, p4.P4Divisor, p4.P4Curve,
                 p4.P4Surface):
         assert cls.__match_args__ == ("d",) + tuple(n for n, _ in cls.FIELDS)

@@ -1,11 +1,15 @@
 """Every record type takes real ints only: a bool or a float in the degree
 or in any entry, and a tuple of the wrong length, raise ValueError."""
 
-from dataclasses import astuple
-
 import pytest
 
 from cremona import linsys, p3, p4, weyl
+
+
+def astuple(rec):
+    # the field tuple, in the order __match_args__ names the fields
+    return tuple(getattr(rec, name) for name in type(rec).__match_args__)
+
 
 VALID = [
     (weyl.DivisorRecord, (8, 1, (1, 1, 1, 1, 0, 0, 0, 0))),
