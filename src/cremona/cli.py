@@ -209,8 +209,14 @@ def chow_from_json(doc, ring_name):
             raise CliError(f"term {name!r} has grade {elem.grade}, "
                            f"but {first!r} has grade {grade}")
         pairs.append((elem, c))
-    if first is None:
-        grade = _json_int(doc.get("grade", 0), "grade")
+    if "grade" in doc:
+        stated = _json_int(doc["grade"], "grade")
+        if first is not None and stated != grade:
+            raise CliError(f"grade {stated} disagrees with term {first!r} "
+                           f"of grade {grade}")
+        grade = stated
+    elif first is None:
+        grade = 0
     try:
         return ring.make_class(grade, pairs)
     except chow.ChowError as e:
@@ -458,12 +464,13 @@ def build_parser():
                     "for points in P^4")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, points=True):
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
-        p.add_argument("--s", type=chow.ascii_int, default=8,
-                       help="point count for triangular input and builtin "
-                            "seeds (default 8)")
+        if points:
+            p.add_argument("--s", type=chow.ascii_int, default=8,
+                           help="point count for triangular input and "
+                                "builtin seeds (default 8)")
 
     p = sub.add_parser("orbit", help="enumerate a Weyl orbit")
     p.add_argument("--kind", choices=("line", "plane", "divisor"),
@@ -495,14 +502,13 @@ def build_parser():
     p.add_argument("--b", required=True)
     p.add_argument("--degree", action="store_true",
                    help="print the point-class coefficient instead")
-    common(p)
     p.set_defaults(func=cmd_mul)
 
     p = sub.add_parser("report", help="linear system diagnostics")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--lines-only", action="store_true",
                    help="restrict the wdim correction to 1-dimensional cycles")
-    common(p)
+    common(p, points=False)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("classify", help="name a record's orbit type")

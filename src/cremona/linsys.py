@@ -65,17 +65,13 @@ def chi(D):
 
 def k_line(D, i, j):
     """k of the line L_ij, that is m_i + m_j - d."""
-    i, j = int_tuple((i, j), 2, "point labels")
-    if i == j or not (1 <= i <= D.s and 1 <= j <= D.s):
-        raise ValueError(f"no line L_{i}{j} on {D.s} points")
+    i, j = weyl._check_labels((i, j), D.s, 2)
     return D.m[i - 1] + D.m[j - 1] - D.d
 
 
 def k_quartic_through(D, points):
     """k of the rational normal quartic through seven of the points."""
-    pts = sorted(int_tuple(points, 7, "quartic point labels"))
-    if len(set(pts)) != 7 or pts[0] < 1 or pts[-1] > D.s:
-        raise ValueError("a quartic needs seven distinct point labels")
+    pts = weyl._check_labels(points, D.s, 7)
     return sum(D.m[i - 1] for i in pts) - 4 * D.d
 
 

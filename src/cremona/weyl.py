@@ -18,9 +18,9 @@ from __future__ import annotations
 import os
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby, product
 from math import isqrt
-from operator import mul
+from operator import itemgetter, mul
 from types import MappingProxyType
 
 from .chow import IntRecord, Value, ascii_int, check_kind, int_tuple
@@ -399,63 +399,48 @@ def _perm_from_order(order, s):
 def canonical_form(rec):
     """Lexicographically smallest relabeling, with a permutation achieving it.
 
-    Returns (canon, perm) with apply_perm(rec, perm) == canon.  For divisor
-    and curve records this just sorts the multiplicities; surfaces need a
-    search over the relabelings of points that share (m_i, n_i), since the
-    line entries can break such ties either way.
+    Returns (canon, perm) with apply_perm(rec, perm) == canon.  The points
+    are sorted by m_i, on surfaces by (m_i, n_i), into blocks of equal
+    entries.  Points of a block are twins when their swap fixes the record,
+    on surfaces when their lines to every other point agree; twinhood is
+    transitive.  Every distinct arrangement of each block's twin classes,
+    filled in label order, is tried, and the smallest relabeling wins.
     """
-    if isinstance(rec, _PointRecord):
-        order = sorted(range(1, rec.s + 1), key=lambda i: (rec.m[i - 1], i))
-        perm = _perm_from_order(order, rec.s)
-        return apply_perm(rec, perm), perm
-    if not isinstance(rec, SurfaceRecord):
+    if isinstance(rec, SurfaceRecord):
+        keys, ml = tuple(zip(rec.m, rec.n)), rec.mline
+    elif isinstance(rec, _PointRecord):
+        keys, ml = rec.m, None
+    else:
         raise TypeError(f"not a record: {rec!r}")
     s = rec.s
-    order0 = sorted(range(1, s + 1), key=lambda i: (rec.m[i - 1], rec.n[i - 1], i))
-    blocks, prev = [], None
-    for i in order0:
-        key = (rec.m[i - 1], rec.n[i - 1])
-        if key != prev:
-            blocks.append([i])
-            prev = key
-        else:
-            blocks[-1].append(i)
-    best = best_perm = None
-
-    def swap_auto(u, v):
-        # swapping u and v maps the record to itself, so orders that differ
-        # only by which of the two goes first produce identical data
-        for w in range(1, s + 1):
-            if w == u or w == v:
-                continue
-            a = rec.mline[PAIR_POS[(u, w) if u < w else (w, u)]]
-            b = rec.mline[PAIR_POS[(v, w) if v < w else (w, v)]]
-            if a != b:
-                return False
-        return True
-
-    def walk(bi, rem, chosen):
-        nonlocal best, best_perm
-        if not rem:
-            if bi + 1 == len(blocks):
-                perm = _perm_from_order(chosen, s)
-                rank = _permuted_surface_data(rec, perm.image)
-                if best is None or rank < best:
-                    best, best_perm = rank, perm
+    blocks = []  # per block of equal keys, its twin classes in label order
+    for _, block in groupby(sorted(zip(keys, range(1, s + 1))), itemgetter(0)):
+        classes = {}  # first member -> members
+        for _, u in block:
+            for v, members in classes.items():
+                if ml is None or all(
+                        ml[PAIR_POS[(u, w) if u < w else (w, u)]]
+                        == ml[PAIR_POS[(v, w) if v < w else (w, v)]]
+                        for w in range(1, s + 1) if w != u and w != v):
+                    members.append(u)
+                    break
             else:
-                walk(bi + 1, blocks[bi + 1], chosen)
-            return
-        covered = set()
-        for a, u in enumerate(rem):
-            if u in covered:
-                continue
-            for v in rem[a + 1:]:
-                if v not in covered and swap_auto(u, v):
-                    covered.add(v)
-            walk(bi, [w for w in rem if w != u], chosen + [u])
-
-    walk(0, blocks[0], [])
-    return _prechecked(SurfaceRecord, s, rec.d, *best), best_perm
+                classes[u] = [u]
+        blocks.append(list(classes.values()))
+    best = None
+    ids = [[c for c, members in enumerate(classes) for _ in members]
+           for classes in blocks]
+    for arrangement in product(*map(_arrangements, ids)):
+        fills = [[iter(members) for members in classes] for classes in blocks]
+        order = [next(fill[c]) for fill, block_ids in zip(fills, arrangement)
+                 for c in block_ids]
+        image = _scatter(range(1, s + 1), order)
+        data = ((_scatter(rec.m, image),) if ml is None
+                else _permuted_surface_data(rec, image))
+        if best is None or data < best:
+            best, best_order = data, order
+    return (_prechecked(type(rec), s, rec.d, *best),
+            _perm_from_order(best_order, s))
 
 
 def _permuted_surface_data(rec, image):

@@ -397,6 +397,35 @@ def test_chow_document_must_be_an_object(capsys, tmp_path):
         assert rc == 2 and out == "" and msg in err
 
 
+def test_chow_grade_must_match_the_terms(capsys, tmp_path):
+    # a stated grade 2 on the grade 1 class H was dropped: H^2 printed S
+    h = chow_file(tmp_path / "h.json", "x4", {"H": 1})
+    g = chow_file(tmp_path / "g.json", "x4", {"H": 1}, grade=2)
+    rc, out, err = run(capsys, "mul", "--ring", "x4", "--a", g, "--b", h)
+    assert rc == 2 and out == ""
+    assert "grade 2" in err and "grade 1" in err and "'H'" in err
+    g = chow_file(tmp_path / "g.json", "x4", {"H": 1}, grade=1)
+    rc, out, _ = run(capsys, "mul", "--ring", "x4", "--a", g, "--b", h)
+    assert rc == 0 and json.loads(out)["terms"] == {"S": 1}
+    z = chow_file(tmp_path / "z.json", "x4", {}, grade=3)
+    rc, out, _ = run(capsys, "mul", "--ring", "x4", "--a", z, "--b", h)
+    assert rc == 0 and json.loads(out) == {"kind": "chow", "ring": "x4",
+                                           "grade": 4, "terms": {}}
+
+
+@pytest.mark.parametrize("argv", [
+    ("mul", "--ring", "x4", "--a", "h.json", "--b", "h.json", "--json"),
+    ("mul", "--ring", "x4", "--a", "h.json", "--b", "h.json", "--s", "7"),
+    ("report", "--in", "w.json", "--s", "7"),
+])
+def test_options_a_command_does_not_read_are_refused(capsys, argv):
+    # mul reads neither --json nor --s, and report takes s from its input
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # -- report --------------------------------------------------------------
 
 def test_report_lines_only_large_s(capsys, tmp_path):
