@@ -27,11 +27,11 @@ share between threads.
 
 from __future__ import annotations
 
-import functools
 import re
 import threading
 from collections.abc import Mapping
 from operator import attrgetter
+from types import SimpleNamespace
 
 INT64_MAX = 2**63 - 1
 
@@ -376,9 +376,7 @@ class ChowRing:
     # -- class construction and arithmetic ----------------------------
 
     def zero(self, grade: int) -> ChowClass:
-        if not 0 <= grade <= self.dim:
-            raise WrongGradeError(f"grade {grade} outside 0..{self.dim}")
-        return ChowClass(self, grade, {})
+        return ChowClass(self, self._grade(grade), {})
 
     def make_class(self, grade: int, terms) -> ChowClass:
         """Build a class from (element, coefficient) pairs of one grade.
@@ -386,21 +384,25 @@ class ChowRing:
         Elements may be BasisElement values belonging to this ring or
         (kind, idx) / (kind, idx, sub) tuples / display-name strings.
         """
-        if not 0 <= grade <= self.dim:
-            raise WrongGradeError(f"grade {grade} outside 0..{self.dim}")
+        self._grade(grade)
         acc = {}
         for elem, c in terms:
             elem = self._coerce(elem)
             if elem.grade != grade:
                 raise MixedGradeError(
                     f"{elem.name} has grade {elem.grade}, expected {grade}")
-            acc[elem] = acc.get(elem, 0) + c
+            acc[elem] = acc.get(elem, 0) + _int(c, "coefficient")
         return _canonical(self, grade, acc.items())
 
     def cls(self, elem, c=1) -> ChowClass:
         """Single-term convenience constructor."""
         elem = self._coerce(elem)
-        return _canonical(self, elem.grade, ((elem, c),))
+        return _canonical(self, elem.grade, ((elem, _int(c, "coefficient")),))
+
+    def _grade(self, grade):
+        if not 0 <= _int(grade, "grade") <= self.dim:
+            raise WrongGradeError(f"grade {grade} outside 0..{self.dim}")
+        return grade
 
     def _coerce(self, elem) -> BasisElement:
         if isinstance(elem, BasisElement):
@@ -520,7 +522,7 @@ def add(x: ChowClass, y: ChowClass) -> ChowClass:
 
 
 def scale(x: ChowClass, c: int) -> ChowClass:
-    if c == 1:
+    if _int(c, "scalar") == 1:
         return x
     return _canonical(x.ring, x.grade,
                       [(e, c * v) for e, v in x.coeffs.items()])
@@ -620,6 +622,13 @@ def _map_rows(x: ChowClass, terms) -> ChowClass:
     return _numbered_class(ring, grade, acc)
 
 
+def _int(x, what):
+    # int_tuple's entry check for one grade or coefficient
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def int_tuple(values, n, what):
     """The n entries of values as a tuple of plain ints.
 
@@ -649,40 +658,34 @@ def ascii_int(text):
     return int(text)
 
 
-def build_once(build):
-    """A function returning build(), called on its first call only.
-
-    Threads that make the first call together wait for one build and all
-    get its result, so tables that must exist once per process (a ring
-    whose classes are compared by identity) are never built twice.
-    """
-    lock = threading.Lock()
-    built = []
-
-    @functools.wraps(build)
-    def get():
-        if not built:
-            with lock:
-                if not built:
-                    built.append(build())
-        return built[0]
-    return get
-
-
 # -- records: fixed-length integer views of the classes of one grade ------
 
 class IntRecord(Value):
     """Base of the fixed-length integer records: the one entry check.
 
-    A record's ``__match_args__`` ends with an int field d and the tuple
-    fields it lists in FIELDS as (name, length) pairs.  ``_set_entries``
-    refuses a d or an entry that is not exactly an int, and a wrong
-    length, and stores d and each field as a tuple.
+    A record type declares its tuple fields after the int field d once, in
+    FIELDS, as (name, length) pairs; its ``__match_args__`` (d and those
+    names) and ``T(d, *fields)``, fields in order or by name, follow.  A
+    type with more fields (a leading s) sets its own ``__match_args__`` and
+    ``__init__``, which calls ``IntRecord.__init__``.  A d or an entry that
+    is not exactly an int, or a wrong length, raises ValueError; a missing,
+    repeated or unknown field raises TypeError.
     """
 
     FIELDS = ()
 
-    def _set_entries(self, d, *fields):
+    def __init_subclass__(cls):
+        if "__match_args__" not in vars(cls):
+            cls.__match_args__ = ("d",) + tuple(name for name, _ in cls.FIELDS)
+        super().__init_subclass__()
+
+    def __init__(self, d, *fields, **named):
+        if named:  # the fields after those given in order, by name
+            fields += tuple([named.pop(name) for name, _
+                             in self.FIELDS[len(fields):] if name in named])
+        if named or len(fields) != len(self.FIELDS):
+            raise TypeError(f"{type(self).__name__} takes d and the fields "
+                            f"{', '.join(name for name, _ in self.FIELDS)}")
         object.__setattr__(self, "d", int_tuple((d,), 1, "d")[0])
         for (name, n), values in zip(self.FIELDS, fields):
             object.__setattr__(self, name, int_tuple(values, n, name))
@@ -740,3 +743,88 @@ def record_from_class(x, layout):
     get = x.coeffs.get
     return record_type(get(lead, 0), *[
         tuple([sign * get(e, 0) for e in elems]) for _, sign, elems in rest])
+
+
+# -- resolved spaces: one module, one lazily built ring --------------------
+
+class Space:
+    """The ring of a resolved space and the functions around it.
+
+    The module whose ``globals()`` is namespace defines ``_build_ring()``
+    and ``_involution_images(ring)``, read there at build time; layouts
+    maps each record kind to its ``record_layout`` arguments after the
+    ring.  The space adds ``<kind>_class``, ``<kind>_from_class``,
+    ``normalize`` and a PEP 562 ``__getattr__`` for ``RING`` and
+    ``_INVOLUTION`` to namespace.  ``tables()`` builds on first use, not at
+    import, and once even when threads race to it (classes of one ring
+    compare by its identity).
+    """
+
+    def __init__(self, namespace, label, layouts):
+        self.label = label  # for messages: "P^4"
+        self._namespace, self._layout_args = namespace, layouts
+        self._lock, self._built = threading.Lock(), None
+        for kind in layouts:
+            self._codecs(kind)
+        tables = self.tables
+
+        def normalize(terms):
+            """Expand a symbolic combination, derived symbols allowed."""
+            return tables().ring.normalize(terms)
+
+        self._publish("normalize", normalize)
+        namespace["__getattr__"] = self._module_attr
+
+    def tables(self):
+        """ring, involution (ImageRows) and layouts (by kind)."""
+        if self._built is None:
+            with self._lock:
+                if self._built is None:
+                    self._built = self._build()
+        return self._built
+
+    def _build(self):
+        ns = self._namespace
+        ring = ns["_build_ring"]()
+        return SimpleNamespace(
+            ring=ring, involution=ImageRows(ring,
+                                            ns["_involution_images"](ring)),
+            layouts={kind: record_layout(ring, *spec)
+                     for kind, spec in self._layout_args.items()})
+
+    def _publish(self, name, fn):
+        # a real name, as for a def in the module
+        fn.__name__ = fn.__qualname__ = name
+        fn.__module__ = self._namespace["__name__"]
+        self._namespace[name] = fn
+
+    def _codecs(self, kind):
+        tables = self.tables
+
+        def to_class(rec):
+            """The class of a record of this kind."""
+            return record_class(tables().layouts[kind], rec)
+
+        def from_class(x):
+            """The record of this kind whose class is x."""
+            return record_from_class(x, tables().layouts[kind])
+
+        self._publish(f"{kind}_class", to_class)
+        self._publish(f"{kind}_from_class", from_class)
+
+    def _module_attr(self, name):
+        if name == "RING":
+            return self.tables().ring
+        if name == "_INVOLUTION":
+            return self.tables().involution
+        raise AttributeError(f"module {self._namespace['__name__']!r} "
+                             f"has no attribute {name!r}")
+
+    def involution_of(self, x):
+        """The involution's images, for a class x of this space's ring
+        (WrongGradeError for any other class)."""
+        tables = self.tables()
+        if x.ring is not tables.ring:
+            raise WrongGradeError(
+                f"class does not belong to the {self.label} ring")
+        return tables.involution

@@ -13,7 +13,7 @@ from math import comb
 from operator import mul
 
 from . import weyl
-from .chow import Value, int_tuple
+from .chow import Value, check_kind, int_tuple
 
 
 def _c4(a):
@@ -91,6 +91,7 @@ def _k_value(D, c, weight):
 
 def k_curve(D, C):
     """k_C = -D.C for a curve record C = deg*l - sum mu_i l_i."""
+    check_kind(C, weyl.CurveRecord)
     if D.s != C.s:
         raise ValueError("divisor and curve live on different point counts")
     return _k_value(D, C, 1)

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .chow import (ChowClass, ChowRing, ImageRows, IntRecord,
-                   WrongGradeError, build_once, check_kind, linear_map,
-                   record_class, record_from_class, record_layout)
+from .chow import (ChowClass, ChowRing, IntRecord, Space, check_kind,
+                   linear_map)
 
 POINTS = tuple(range(4))
 PAIRS = tuple(combinations(POINTS, 2))
@@ -122,10 +121,6 @@ class _P3Record(IntRecord):
     # the body shared by divisor and curve records (distinct types)
 
     FIELDS = (("m", 4), ("nl", 6))
-    __match_args__ = ("d", "m", "nl")
-
-    def __init__(self, d, m, nl):
-        self._set_entries(d, m, nl)
 
 
 class P3Divisor(_P3Record):
@@ -136,33 +131,14 @@ class P3Curve(_P3Record):
     """Curve record (d; m_0..m_3; n over PAIRS order)."""
 
 
-class _Tables:
-    """The X3 ring and what is looked up in it once: the involution's
-    basis images and the record layouts."""
-
-    def __init__(self):
-        R = self.ring = _build_ring()
-        self.involution = ImageRows(R, _involution_images(R))
-        self.divisor = record_layout(R, P3Divisor, ("H",),
-                                     (-1, [("E", (i,)) for i in POINTS]),
-                                     (-1, [("E", q) for q in PAIRS]))
-        self.curve = record_layout(R, P3Curve, ("l",),
-                                   (-1, [("l", (i,)) for i in POINTS]),
-                                   (-1, [("f", q) for q in PAIRS]))
-
-
-# built on first use, so a program that never touches the ring (most CLI
-# commands) does not pay for it
-_tables = build_once(_Tables)
-
-
-def __getattr__(name):
-    # RING and _INVOLUTION read like module constants (PEP 562)
-    if name == "RING":
-        return _tables().ring
-    if name == "_INVOLUTION":
-        return _tables().involution
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# the ring, its involution and these record layouts, built on first use;
+# each kind: record type, the cycle of d, (sign, cycles) per field
+_space = Space(globals(), "P^3", {
+    "divisor": (P3Divisor, ("H",), (-1, [("E", (i,)) for i in POINTS]),
+                (-1, [("E", q) for q in PAIRS])),
+    "curve": (P3Curve, ("l",), (-1, [("l", (i,)) for i in POINTS]),
+              (-1, [("f", q) for q in PAIRS])),
+})
 
 
 # where the record maps read their entries, as slot numbers, built at
@@ -175,26 +151,7 @@ _BY_PAIR = tuple((PAIR_SLOT[q], q) for q in map(pair_complement, PAIRS))
 
 def cremona(x: ChowClass) -> ChowClass:
     """Lifted standard Cremona involution of P^3, as a ring automorphism."""
-    tab = _tables()
-    if x.ring is not tab.ring:
-        raise WrongGradeError("class does not belong to the P^3 ring")
-    return linear_map(x, tab.involution)
-
-
-def divisor_class(D: P3Divisor) -> ChowClass:
-    return record_class(_tables().divisor, D)
-
-
-def divisor_from_class(x: ChowClass) -> P3Divisor:
-    return record_from_class(x, _tables().divisor)
-
-
-def curve_class(C: P3Curve) -> ChowClass:
-    return record_class(_tables().curve, C)
-
-
-def curve_from_class(x: ChowClass) -> P3Curve:
-    return record_from_class(x, _tables().curve)
+    return linear_map(x, _space.involution_of(x))
 
 
 def cremona_divisor(D: P3Divisor) -> P3Divisor:
@@ -221,8 +178,3 @@ def cremona_curve(C: P3Curve) -> P3Curve:
                 for x, pairs in zip(m, _PAIRS_AWAY)])
     nl2 = tuple([nl[a] for a, _ in _BY_PAIR])
     return P3Curve(3 * d - 2 * tot - sum(nl), m2, nl2)
-
-
-def normalize(terms) -> ChowClass:
-    """Expand a symbolic combination (g_ij allowed) into basis cycles."""
-    return _tables().ring.normalize(terms)

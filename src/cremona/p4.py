@@ -35,9 +35,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .chow import (ChowClass, ChowRing, ImageRows, IntRecord,
-                   WrongGradeError, build_once, check_kind, linear_map,
-                   record_class, record_from_class, record_layout)
+from .chow import (ChowClass, ChowRing, IntRecord, Space, check_kind,
+                   linear_map)
 
 POINTS = tuple(range(5))
 PAIRS = tuple(combinations(POINTS, 2))
@@ -346,10 +345,6 @@ class _P4Record(IntRecord):
     # the body shared by divisor and curve records (distinct types)
 
     FIELDS = (("m", 5), ("ml", 10), ("mp", 10))
-    __match_args__ = ("d", "m", "ml", "mp")
-
-    def __init__(self, d, m, ml, mp):
-        self._set_entries(d, m, ml, mp)
 
 
 class P4Divisor(_P4Record):
@@ -369,47 +364,23 @@ class P4Surface(IntRecord):
     """
 
     FIELDS = (("m", 5), ("ml", 10), ("nl", 10), ("mp", 10), ("np", 30))
-    __match_args__ = ("d", "m", "ml", "nl", "mp", "np")
-
-    def __init__(self, d, m, ml, nl, mp, np):
-        self._set_entries(d, m, ml, nl, mp, np)
 
 
-class _Tables:
-    """The X4 ring and what is looked up in it once: the involution's
-    basis images and the record layouts."""
-
-    def __init__(self):
-        R = self.ring = _build_ring()
-        self.involution = ImageRows(R, _involution_images(R))
-        self.divisor = record_layout(R, P4Divisor, ("H",),
-                                     (-1, [("E", (i,)) for i in POINTS]),
-                                     (-1, [("E", q) for q in PAIRS]),
-                                     (-1, [("E", t) for t in TRIPLES]))
-        self.curve = record_layout(R, P4Curve, ("l",),
-                                   (-1, [("l", (i,)) for i in POINTS]),
-                                   (-1, [("l", q) for q in PAIRS]),
-                                   (-1, [("f", t) for t in TRIPLES]))
-        self.surface = record_layout(R, P4Surface, ("S",),
-                                     (-1, [("S", (i,)) for i in POINTS]),
-                                     (-1, [("P", q) for q in PAIRS]),
-                                     (-1, [("F", q) for q in PAIRS]),
-                                     (-1, [("H", t) for t in TRIPLES]),
-                                     (1, [("V", t, w) for t, w in V_SLOTS]))
-
-
-# built on first use, so a program that never touches the ring (most CLI
-# commands) does not pay for it
-_tables = build_once(_Tables)
-
-
-def __getattr__(name):
-    # RING and _INVOLUTION read like module constants (PEP 562)
-    if name == "RING":
-        return _tables().ring
-    if name == "_INVOLUTION":
-        return _tables().involution
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# the ring, its involution and these record layouts, built on first use;
+# each kind: record type, the cycle of d, (sign, cycles) per field
+_space = Space(globals(), "P^4", {
+    "divisor": (P4Divisor, ("H",), (-1, [("E", (i,)) for i in POINTS]),
+                (-1, [("E", q) for q in PAIRS]),
+                (-1, [("E", t) for t in TRIPLES])),
+    "curve": (P4Curve, ("l",), (-1, [("l", (i,)) for i in POINTS]),
+              (-1, [("l", q) for q in PAIRS]),
+              (-1, [("f", t) for t in TRIPLES])),
+    "surface": (P4Surface, ("S",), (-1, [("S", (i,)) for i in POINTS]),
+                (-1, [("P", q) for q in PAIRS]),
+                (-1, [("F", q) for q in PAIRS]),
+                (-1, [("H", t) for t in TRIPLES]),
+                (1, [("V", t, w) for t, w in V_SLOTS])),
+})
 
 
 # where the record maps read their entries, as slot numbers, built at
@@ -431,34 +402,7 @@ _BY_TRIPLE = tuple(
 
 def cremona(x: ChowClass) -> ChowClass:
     """Lifted standard Cremona involution of P^4, as a ring automorphism."""
-    tab = _tables()
-    if x.ring is not tab.ring:
-        raise WrongGradeError("class does not belong to the P^4 ring")
-    return linear_map(x, tab.involution)
-
-
-def divisor_class(D: P4Divisor) -> ChowClass:
-    return record_class(_tables().divisor, D)
-
-
-def divisor_from_class(x: ChowClass) -> P4Divisor:
-    return record_from_class(x, _tables().divisor)
-
-
-def curve_class(C: P4Curve) -> ChowClass:
-    return record_class(_tables().curve, C)
-
-
-def curve_from_class(x: ChowClass) -> P4Curve:
-    return record_from_class(x, _tables().curve)
-
-
-def surface_class(T: P4Surface) -> ChowClass:
-    return record_class(_tables().surface, T)
-
-
-def surface_from_class(x: ChowClass) -> P4Surface:
-    return record_from_class(x, _tables().surface)
+    return linear_map(x, _space.involution_of(x))
 
 
 def cremona_divisor(D: P4Divisor) -> P4Divisor:
@@ -518,8 +462,3 @@ def cremona_surface(T: P4Surface) -> P4Surface:
         np2.extend([top + x for x in parts])
     return P4Surface(6 * d - 3 * tot + sum(mln), m2, tuple(ml2), tuple(nl2),
                      tuple(mp2), tuple(np2))
-
-
-def normalize(terms) -> ChowClass:
-    """Expand a symbolic combination (G, Lam, M, h, l_ijk, e allowed)."""
-    return _tables().ring.normalize(terms)

@@ -69,7 +69,7 @@ def test_layout_must_match_the_record_fields():
     good = chow.record_layout(R, p4.P4Surface, ("S",), (-1, points),
                               (-1, p_cycles), (-1, f_cycles), (-1, h_cycles),
                               (1, v_cycles))
-    assert good == p4._tables().surface
+    assert good == p4._space.tables().layouts["surface"]
     # nl and np swapped: the thirty V cycles where nl wants ten, the ten F
     # cycles where np wants thirty
     with pytest.raises(ValueError, match="P4Surface"):
