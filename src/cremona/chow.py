@@ -691,12 +691,14 @@ class IntRecord(Value):
             object.__setattr__(self, name, int_tuple(values, n, name))
 
 
-def check_kind(rec, record_type):
-    """Refuse a record of any type but record_type: twin kinds (a divisor
-    and a curve record, say) share their fields, so a kind-specific map
-    would read the one as the other."""
-    if not isinstance(rec, record_type):
-        raise TypeError(f"not a {record_type.__name__}: {rec!r}")
+def check_kind(rec, kinds):
+    """Refuse a record of any type but kinds, a type or a tuple of types:
+    twin kinds (a divisor and a curve record, say) share their fields, so
+    a kind-specific map would read the one as the other."""
+    if not isinstance(rec, kinds):
+        kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+        raise TypeError(f"not a {' or '.join(k.__name__ for k in kinds)}: "
+                        f"{rec!r}")
 
 
 def record_layout(ring, record_type, lead, *fields):

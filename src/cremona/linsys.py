@@ -45,8 +45,14 @@ class FatPointDivisor(Value):
         self._set(s, d, int_tuple(m, s, "m"))
 
 
+# the records every entry point takes as D; a curve or surface record
+# carries s, d and m too, and would otherwise be read as a divisor
+_DIVISOR_KINDS = (FatPointDivisor, weyl.DivisorRecord)
+
+
 def _weyl_points(D):
     # the Weyl planes and hyperplane classes are listed on 6..8 points only
+    check_kind(D, _DIVISOR_KINDS)
     if D.s not in weyl.POINT_COUNTS:
         raise ValueError(
             f"Weyl cycles are classified for s in {weyl.POINT_COUNTS}, "
@@ -60,23 +66,27 @@ def chi(D):
     The first term counts quartic coefficients in five variables, the
     second the derivative conditions imposed by an m_i-fold point.
     """
+    check_kind(D, _DIVISOR_KINDS)
     return _c4(D.d + 4) - sum(_c4(x + 3) for x in D.m)
 
 
 def k_line(D, i, j):
     """k of the line L_ij, that is m_i + m_j - d."""
+    check_kind(D, _DIVISOR_KINDS)
     i, j = weyl._check_labels((i, j), D.s, 2)
     return D.m[i - 1] + D.m[j - 1] - D.d
 
 
 def k_quartic_through(D, points):
     """k of the rational normal quartic through seven of the points."""
+    check_kind(D, _DIVISOR_KINDS)
     pts = weyl._check_labels(points, D.s, 7)
     return sum(D.m[i - 1] for i in pts) - 4 * D.d
 
 
 def k_quartic(D, k):
     """k of Q_k, the quartic missing only p_k (slots as in quartic_slots)."""
+    check_kind(D, _DIVISOR_KINDS)
     k, = int_tuple((k,), 1, "quartic label")
     if k not in weyl.quartic_slots(D.s):
         raise ValueError(f"no quartic Q_{k} on {D.s} points")
@@ -91,6 +101,7 @@ def _k_value(D, c, weight):
 
 def k_curve(D, C):
     """k_C = -D.C for a curve record C = deg*l - sum mu_i l_i."""
+    check_kind(D, _DIVISOR_KINDS)
     check_kind(C, weyl.CurveRecord)
     if D.s != C.s:
         raise ValueError("divisor and curve live on different point counts")
@@ -179,7 +190,8 @@ def k_weyl_divisor(D, W):
     -b(w^-1 D, W_0) = -b(D, W): k_W = sum m_i w_i - 3 d d_W, with no word
     to replay.  W must be a DivisorRecord on D's s in weyl_divisors(s).
     """
-    if not (weyl.is_weyl_divisor(W) and W.s == _weyl_points(D)):
+    s = _weyl_points(D)
+    if not (weyl.is_weyl_divisor(W) and W.s == s):
         raise ValueError(f"not a Weyl hyperplane class: {W!r}")
     return _k_value(D, W, 3)
 
@@ -207,6 +219,7 @@ def _curve_cycles(D):
     # is the Q_k of quartic_slots, idx = (k,) for the label it misses;
     # with more points idx lists its seven labels.  For 6 <= s <= 8 these
     # are exactly the Weyl lines.
+    check_kind(D, _DIVISOR_KINDS)
     s, d, m = D.s, D.d, D.m
     if comb(s, 7) > MAX_QUARTIC_SUBSETS:
         raise ValueError(

@@ -822,48 +822,74 @@ def _arrangements(values):
 
 # -- plane normalization and pairing -----------------------------------
 
-def _plane_reduction_centers(tag, idx, s):
-    # five centers whose Cremona strictly drops the degree of the family
-    if tag == "S3":
-        i, j = idx
-        simple = [x for x in range(1, s + 1) if x not in (i, j)]
-        return tuple(sorted([i] + simple[:4]))
-    if tag == "S6":
-        return tuple(x for x in range(1, 9) if x not in idx)
-    if tag == "S10":
-        i, j = idx
-        rest = [x for x in range(1, 9) if x not in (i, j)]
-        return tuple(sorted([i, j] + rest[:3]))
-    if tag == "S15":
-        return tuple(x for x in range(1, 9) if x != idx[0])[:5]
-    raise NotAWeylPlaneError(f"no reduction step for tag {tag}")
+@lru_cache(maxsize=None)
+def _center_sets(s):
+    # every five center set on s points in lex order, and those meeting
+    # {1,2,3} in exactly two points: a Cremona at one of these fixes S_1(123)
+    every = tuple(combinations(range(1, s + 1), 5))
+    return every, tuple(c for c in every if len({1, 2, 3}.intersection(c)) == 2)
+
+
+def _steps_to_plane(rec):
+    # Cremona steps from a record of the plane orbit to an actual plane:
+    # d - 1 at positive degree; a contracted record is a line class (one
+    # step from its plane) or a quartic class (two steps)
+    return rec.d - 1 if rec.d > 0 else 1 + sum(rec.n)
+
+
+def _normalizing_word(word, cur, center_sets, nearest, pairing=None):
+    # the one degree descent and relabeling tail of both word functions:
+    # until cur is an actual plane, append to word the Cremona at the first
+    # of center_sets whose image is nearer to one (with nearest, the nearest
+    # image, the first among ties).  The end plane S_1(idx) pairs 1 with
+    # S_1(123) exactly when idx misses {1,2,3}, so it must agree with a
+    # given pairing.  Last comes the relabeling keeping {1,2,3} stable that
+    # moves idx onto (1,2,3), or, given the pairing, onto (4,5,6), (1,4,5)
+    # or (1,2,4) by the number of points idx shares with {1,2,3}
+    gap = _steps_to_plane(cur)
+    while gap > 0:
+        step = None
+        for centers in center_sets:
+            img = cremona5_surface(cur, centers)
+            img_gap = _steps_to_plane(img)
+            if img_gap < gap:
+                step, nxt, gap = centers, img, img_gap
+                if not nearest:
+                    break
+        if step is None:
+            raise NoNormalizingWordError(f"degree reduction stalled at {cur!r}")
+        word.append(Cremona5(step))
+        cur = nxt
+    tag, idx = classify_surface(cur)
+    if tag != "S1":
+        raise NoNormalizingWordError(f"reduction ended off the plane list: {cur!r}")
+    shared = len({1, 2, 3}.intersection(idx))
+    dst = (1, 2, 3)
+    if pairing is not None:
+        if (shared == 0) != (pairing == 1):
+            raise NoNormalizingWordError(
+                f"transport ended on S_1{idx}, which does not pair "
+                f"{pairing} with S_1(123): {cur!r}")
+        dst = ((4, 5, 6), (1, 4, 5), (1, 2, 4))[shared]
+    perm = _perm_fixing_123(idx, dst, cur.s)
+    if not perm.is_identity:
+        word.append(perm)
+    return tuple(word)
 
 
 @lru_cache(maxsize=None)
 def plane_normalizing_word(T):
     """Word sending the Weyl plane T to the actual plane S_1(123).
 
-    Each family admits a center choice that strictly reduces the degree
-    (S_15 -> S_10 -> S_6 -> S_1 and S_3 -> S_1), so at most three Cremonas
-    plus one relabeling are needed.
+    A degree descent: each step takes, over every five centers in lex
+    order, the Cremona whose image is nearest to an actual plane (the
+    first among ties), until T is one, which one relabeling moves onto
+    S_1(123).  The families descend S_15 -> S_10 -> S_6 -> S_1 and
+    S_3 -> S_1, so at most three Cremonas are needed.
     """
-    tag, idx = classify_surface(T)
-    if tag == "Other":
+    if classify_surface(T)[0] == "Other":
         raise NotAWeylPlaneError(f"not in the plane orbit: {T!r}")
-    word = []
-    cur, cur_tag, cur_idx = T, tag, idx
-    while cur_tag != "S1":
-        centers = _plane_reduction_centers(cur_tag, cur_idx, cur.s)
-        word.append(Cremona5(centers))
-        cur = cremona5_surface(cur, centers)
-        cur_tag, cur_idx = classify_surface(cur)
-        if cur_tag == "Other":
-            raise NotAWeylPlaneError(
-                f"reduction fell out of the plane families at {cur!r}")
-    perm = _perm_fixing_123(cur_idx, (1, 2, 3), cur.s)
-    if not perm.is_identity:
-        word.append(perm)
-    return tuple(word)
+    return _normalizing_word([], T, _center_sets(T.s)[0], True)
 
 
 def surface_form(R, T):
@@ -899,29 +925,27 @@ def weyl_plane_pairing(R, T):
 
 def _perm_fixing_123(src, dst, s):
     # relabeling with src -> dst that also keeps {1,2,3} stable as a set
-    image = {a: b for a, b in zip(src, dst)}
-    low_src = [i for i in (1, 2, 3) if i not in image]
-    low_dst = [i for i in (1, 2, 3) if i not in image.values()]
-    for a, b in zip(low_src, low_dst):
-        image[a] = b
-    rest_src = [i for i in range(1, s + 1) if i not in image]
-    hit = set(image.values())
-    rest_dst = [i for i in range(1, s + 1) if i not in hit]
-    for a, b in zip(rest_src, rest_dst):
-        image[a] = b
+    # (the rest of {1,2,3} onto the rest of it, then the others in order)
+    image = dict(zip(src, dst))
+    for pool in ((1, 2, 3), range(1, s + 1)):
+        free = [b for b in pool if b not in image.values()]
+        image.update(zip([a for a in pool if a not in image], free))
     return Perm(tuple(image[i] for i in range(1, s + 1)))
 
 
 def find_normalizing_word(R, T):
     """Word w with w(R) = S_1(123) and w(T) another actual plane.
 
-    Exists exactly when the pairing is not 3.  The search first normalizes
-    R; if that contracted T to the class of a single line or quartic, a
-    Cremona through that class (two of its centers among {1,2,3}) expands
-    it back to an actual plane.  Then it repeatedly picks five centers,
-    two of them among {1,2,3}, that strictly reduce the degree of T's
-    image; every such Cremona fixes the record S_1(123).  When the pairing
-    is 1 the final plane is moved onto S_1(456); when it is 0 it still
+    Exists exactly when the pairing is not 3.  The word starts with
+    plane_normalizing_word(R), which may contract T to the class of a line
+    (one Cremona from its plane) or of a quartic (two).  The descent of
+    plane_normalizing_word then goes on from T's image, taking each time
+    the first five centers in lex order that meet {1,2,3} in exactly two
+    points and bring the image nearer to an actual plane; every such
+    Cremona fixes S_1(123).  The pairing is constant along the word, and an
+    actual plane pairs 1 with S_1(123) exactly when it shares no point with
+    it, so an end plane that disagrees with the pairing is refused.  When
+    the pairing is 1 the end plane is moved onto S_1(456); when it is 0 it
     shares one or two points with {1,2,3} and is moved onto S_1(145) or
     S_1(124).
     """
@@ -931,51 +955,6 @@ def find_normalizing_word(R, T):
     if value == 3:
         raise NoNormalizingWordError(
             "planes meeting with multiplicity 3 admit no separating word")
-    s = R.s
     word = list(plane_normalizing_word(R))
     cur = apply_word(T, tuple(word), allow_contraction=True)
-    while cur.d <= 0:
-        hit = [PAIRS8[k] for k, v in enumerate(cur.mline) if v]
-        if hit:
-            # unit line class: Cre at five centers containing the pair sends
-            # it to the plane spanned by the other three centers
-            (u, v), = hit
-            shared = len({u, v} & {1, 2, 3})
-            if shared == 2:
-                raise NoNormalizingWordError(
-                    f"transport contracted onto L_{u}{v}, a line inside "
-                    f"S_1(123): {cur!r}")
-            low = sorted({1, 2, 3} - {u, v})[:2 - shared]
-            rest = [i for i in range(4, s + 1) if i not in (u, v)]
-            centers = tuple(sorted({u, v}.union(low, rest[:3 - len(low)])))
-        else:
-            # unit quartic class: swap it into a line class first (the
-            # n_k <-> m_ab exchange for {a,b,k} away from the centers)
-            k = next(k for k in range(1, 9) if cur.quartic(k))
-            low = [i for i in (1, 2, 3) if i != k][:2]
-            rest = [i for i in range(4, s + 1) if i != k]
-            centers = tuple(sorted(low + rest[:3]))
-        word.append(Cremona5(centers))
-        cur = cremona5_surface(cur, centers)
-    while cur.d > 1:
-        for centers in combinations(range(1, s + 1), 5):
-            if len({1, 2, 3}.intersection(centers)) != 2:
-                continue
-            img = cremona5_surface(cur, centers)
-            if img.d < cur.d:
-                word.append(Cremona5(centers))
-                cur = img
-                break
-        else:
-            raise NoNormalizingWordError(
-                f"degree reduction stalled at {cur!r}")
-    tag, idx = classify_surface(cur)
-    if tag != "S1":
-        raise NoNormalizingWordError(f"reduction ended off the plane list: {cur!r}")
-    shared = sorted(set(idx) & {1, 2, 3})
-    free = sorted(set(idx) - {1, 2, 3})
-    dst = {0: (4, 5, 6), 1: (1, 4, 5), 2: (1, 2, 4)}[len(shared)]
-    perm = _perm_fixing_123(tuple(shared + free), dst, s)
-    if not perm.is_identity:
-        word.append(perm)
-    return tuple(word)
+    return _normalizing_word(word, cur, _center_sets(R.s)[1], False, value)

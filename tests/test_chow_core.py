@@ -183,6 +183,8 @@ def test_normalize_idempotent():
 def test_normalize_unknown_symbol():
     with pytest.raises(chow.UnknownSymbolError):
         p4.normalize([("Q012", 1)])
+    with pytest.raises(chow.UnknownSymbolError, match="no grade"):
+        X4.normalize([])
 
 
 def test_operator_sugar_matches_functions():
@@ -199,3 +201,27 @@ def test_coefficient_overflow_guard():
     big = X3.cls("H", 2**62)
     with pytest.raises(chow.CoefficientOverflowError):
         chow.scale(big, 4)
+
+
+def test_class_repr():
+    assert repr(X4.zero(2)) == "0[2]"
+    assert repr(X4.cls("H")) == "H"
+    assert repr(-X4.cls("H")) == "-H"
+    x = X4.make_class(1, [("E0", -1), ("E01", 2), ("H", 1)])
+    assert repr(x) == "-E0 +2*E01 +H"
+
+
+def test_basis_element_refuses_bad_indices():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        chow.BasisElement("X4", 1, "E", (1, 0))
+    with pytest.raises(ValueError, match="sub-index 3 not in"):
+        chow.BasisElement("X4", 2, "V", (0, 1), 3)
+
+
+def test_classes_of_two_rings_do_not_mix():
+    h3, h4 = X3.cls("H"), X4.cls("H")
+    for mul in (chow.mul, X4.mul):
+        with pytest.raises(chow.MixedGradeError, match="different rings"):
+            mul(h3, h4)
+    with pytest.raises(chow.MixedGradeError, match="different ring"):
+        X4.degree(X3.cls(X3.point))

@@ -681,3 +681,65 @@ def test_console_script(tmp_path):
     assert proc.returncode == 0
     assert "members: 36" in proc.stdout
     assert "lines:28 quartics:8; total 36" in proc.stdout
+
+
+# -- paths no other test reaches ------------------------------------------
+
+def test_orbit_json_names_the_cache(capsys, tmp_path):
+    path = str(tmp_path / "c.txt")
+    rc, out, _ = run(capsys, "orbit", "--kind", "line", "--s", "7", "--json",
+                     "--cache", path)
+    assert rc == 0
+    assert json.loads(out) == {"members": 22,
+                               "census": {"line": 21, "quartic": 1},
+                               "cache": path}
+
+
+def test_orbit_point_count_out_of_range(capsys):
+    rc, out, err = run(capsys, "orbit", "--kind", "line", "--s", "5")
+    assert rc == 2 and out == "" and "6, 7 or 8 points" in err
+
+
+def test_triangle_dead_point_slot_is_refused(capsys, tmp_path):
+    toks = cli.surface_to_triangle(weyl.s1_plane(1, 2, 3, s=7)).split()
+    toks[8] = "1"  # m_8, after the degree and m_1 .. m_7
+    path = tmp_path / "t.txt"
+    path.write_text(" ".join(toks) + "\n")
+    rc, _, err = run(capsys, "classify", "--kind", "surface", "--s", "7",
+                     "--in", str(path))
+    assert rc == 2 and "point 8 does not exist for s=7" in err
+
+
+def test_chow_document_naming_one_cycle_twice(capsys, tmp_path):
+    a = chow_file(tmp_path / "a.json", "x4", {"V123,1": 1, "V123,01": 2})
+    h = chow_file(tmp_path / "h.json", "x4", {"H": 1})
+    rc, _, err = run(capsys, "mul", "--ring", "x4", "--a", a, "--b", h)
+    assert rc == 2 and "name one cycle" in err
+
+
+def test_mul_wants_chow_documents(capsys, tmp_path):
+    d = record_file(tmp_path / "d.json", weyl.hyperplane_record((1, 2, 3, 4)))
+    h = chow_file(tmp_path / "h.json", "x4", {"H": 1})
+    rc, _, err = run(capsys, "mul", "--ring", "x4", "--a", d, "--b", h)
+    assert rc == 2 and "expected a chow document" in err
+
+
+def test_mul_degree_needs_top_grade(capsys, tmp_path):
+    h = chow_file(tmp_path / "h.json", "x4", {"H": 1})
+    rc, out, err = run(capsys, "mul", "--ring", "x4", "--a", h, "--b", h,
+                       "--degree")
+    assert rc == 2 and out == "" and "degree needs grade 4" in err
+
+
+def test_mul_empty_terms_is_the_zero_class_of_grade_zero(capsys, tmp_path):
+    zero = chow_file(tmp_path / "z.json", "x4", {})
+    h = chow_file(tmp_path / "h.json", "x4", {"H": 1})
+    rc, out, _ = run(capsys, "mul", "--ring", "x4", "--a", zero, "--b", h)
+    assert rc == 0
+    assert out == '{"kind": "chow", "ring": "x4", "grade": 1, "terms": {}}\n'
+
+
+def test_report_document_without_m(capsys, tmp_path):
+    src = write_json(tmp_path / "d.json", {"kind": "divisor", "s": 8, "d": 1})
+    rc, out, err = run(capsys, "report", "--in", src)
+    assert rc == 2 and out == "" and "bad record document: 'm'" in err

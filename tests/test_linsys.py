@@ -528,3 +528,37 @@ def test_bareiss_rank_on_condition_matrices(d, mults):
     for mult in mults:
         rows.extend(condition_rows(mons, random_point(rng), mult))
     assert bareiss_rank(integer_rows(rows)) == fraction_rank(rows)
+
+
+# every entry point with its arguments after D, on eight points
+DIVISOR_ENTRY_POINTS = [
+    (linsys.chi, ()),
+    (linsys.k_line, (1, 2)),
+    (linsys.k_quartic_through, ((1, 2, 3, 4, 5, 6, 7),)),
+    (linsys.k_quartic, (8,)),
+    (linsys.k_curve, (weyl.line_record(1, 2),)),
+    (linsys.k_weyl_plane, (weyl.s3_cubic(1, 8),)),
+    (linsys.k_weyl_divisor, (weyl.hyperplane_record((1, 2, 3, 4)),)),
+    (linsys.h1_correction, ()),
+    (linsys.wdim, ()),
+    (linsys.base_locus_report, ()),
+]
+ENTRY_IDS = [fn.__name__ for fn, _ in DIVISOR_ENTRY_POINTS]
+
+
+@pytest.mark.parametrize("fn, args", DIVISOR_ENTRY_POINTS, ids=ENTRY_IDS)
+@pytest.mark.parametrize("D", [weyl.line_record(1, 2), weyl.s1_plane(1, 2, 3)],
+                         ids=["curve", "surface"])
+def test_entry_points_refuse_a_record_that_is_not_a_divisor(fn, args, D):
+    # a curve or surface record carries s, d and m too: chi of the line
+    # L_12 used to be 3 and k_curve(L_12, L_12) 1
+    with pytest.raises(TypeError, match="not a FatPointDivisor or DivisorRecord"):
+        fn(D, *args)
+
+
+@pytest.mark.parametrize("fn, args", DIVISOR_ENTRY_POINTS, ids=ENTRY_IDS)
+def test_divisor_record_reads_as_the_fat_point_divisor(fn, args):
+    rng = random.Random(20)
+    for _ in range(5):
+        d, m = rng.randint(1, 5), tuple(rng.randint(0, 4) for _ in range(8))
+        assert fn(weyl.DivisorRecord(8, d, m), *args) == fn(F(8, d, m), *args)

@@ -1,5 +1,6 @@
 """Intersection pairing of Weyl planes and the normalizing-word search."""
 
+import hashlib
 import random
 
 import pytest
@@ -101,6 +102,9 @@ def test_plane_normalizing_word():
               weyl.s6_sextic(1, 5, 8), weyl.s3_cubic(4, 2), S1(2, 6, 7)):
         word = weyl.plane_normalizing_word(T)
         assert weyl.apply_word(T, word) == S123
+    with pytest.raises(weyl.NotAWeylPlaneError):
+        weyl.plane_normalizing_word(
+            weyl.SurfaceRecord(8, 2, (1,) * 8, (0,) * 8, (0,) * 28))
 
 
 def test_find_word_trivial_case():
@@ -181,3 +185,52 @@ def test_find_word_random_pairs():
         if value == 1:
             assert img == S1(4, 5, 6)
         done += 1
+
+
+# (line count, refusals, sha256 over "\n".join(lines)) of the word lines
+# below on the whole domain, pinned before both word functions shared one
+# degree descent: every word must stay byte-identical.  The s = 8 pairs
+# take about 6 s and are checked by CI, not by the tier-1 suite:
+#   PYTHONPATH=src:tests python -c "import test_pairing as t; t.check_words(
+#       t.pair_word_lines, (8,), t.PAIR_WORDS_S8)"
+PLANE_WORDS = (
+    266, 0, "30298b6c074384bc73402a6d206e1c051be11328253ac256429227468dbfd62d")
+PAIR_WORDS_S67 = (
+    2102, 0, "3d377278710d1a0afc95794f448a149e33ac57eebdd33dc5b6489505e2ece42b")
+PAIR_WORDS_S8 = (
+    41412, 168,
+    "738cfd0f4e0d352eeefe2c11aa3747b323b51d66e3245cd8e868e5665360f158")
+
+
+def plane_word_lines(s):
+    return [f"{s} {i} {weyl.plane_normalizing_word(T)!r}"
+            for i, T in enumerate(weyl.weyl_planes(s))]
+
+
+def pair_word_lines(s):
+    planes, lines = weyl.weyl_planes(s), []
+    for i, R in enumerate(planes):
+        for j, T in enumerate(planes):
+            if i == j:
+                continue
+            try:
+                word = repr(weyl.find_normalizing_word(R, T))
+            except weyl.NoNormalizingWordError:
+                word = "refused"
+            lines.append(f"{s} {i} {j} {word}")
+    return lines
+
+
+def check_words(lines_of, counts, want):
+    lines = [line for s in counts for line in lines_of(s)]
+    refused = sum(line.endswith(" refused") for line in lines)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), refused, digest) == want
+
+
+def test_plane_words_on_every_plane_are_pinned():
+    check_words(plane_word_lines, (6, 7, 8), PLANE_WORDS)
+
+
+def test_pair_words_on_every_pair_are_pinned():
+    check_words(pair_word_lines, (6, 7), PAIR_WORDS_S67)

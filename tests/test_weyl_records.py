@@ -279,6 +279,9 @@ def test_classify_curve():
 def test_divisor_type_string():
     D = weyl.DivisorRecord(8, 10, (7, 6, 6, 6, 6, 6, 6, 6))
     assert weyl.divisor_type(D) == "(10;76666666)"
+    # an entry above 9 switches every entry to comma separation
+    D = weyl.DivisorRecord(8, 10, (3, 0, 10, 3, 0, 3, 0, 0))
+    assert weyl.divisor_type(D) == "(10;10,3,3,3,0,0,0,0)"
     # type string sorts multiplicities, so it is permutation-invariant
     E = weyl.DivisorRecord(8, 10, (6, 6, 6, 7, 6, 6, 6, 6))
     assert weyl.divisor_type(E) == "(10;76666666)"
@@ -291,3 +294,41 @@ def test_template_mline_values():
               weyl.s15_surface(8)]
     for T in planes:
         assert set(T.mline) <= {0, 1, 3}, T
+
+
+NOT_A_RECORD = ("x", weyl.Perm((1, 2, 3, 4, 5, 6, 7, 8)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: weyl.apply_cremona5(x, (1, 2, 3, 4, 5)),
+    weyl.canonical_form,
+    weyl.record_tag,
+], ids=["apply_cremona5", "canonical_form", "record_tag"])
+def test_record_entry_points_refuse_a_non_record(call):
+    for x in NOT_A_RECORD:
+        with pytest.raises(TypeError, match="not a record"):
+            call(x)
+
+
+def test_apply_generator_refuses_a_non_generator():
+    for gen in ((1, 2, 3, 4, 5), "x", None):
+        with pytest.raises(TypeError, match="not a generator"):
+            weyl.apply_generator(weyl.s1_plane(1, 2, 3), gen)
+
+
+def test_apply_perm_wants_one_label_per_point():
+    with pytest.raises(ValueError, match="permutation of 7 labels"):
+        weyl.apply_perm(weyl.s1_plane(1, 2, 3), weyl.Perm(range(1, 8)))
+
+
+def test_templates_refuse_six_points_where_the_family_needs_more():
+    with pytest.raises(ValueError, match="no quartic Q_1 on 6 points"):
+        weyl.quartic_record(1, s=6)
+    with pytest.raises(ValueError, match="at least seven points"):
+        weyl.s3_cubic(1, 2, s=6)
+
+
+def test_orbit_refuses_a_seed_of_nonpositive_degree():
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="positive degree"):
+            weyl.orbit(weyl.DivisorRecord(8, d, (0,) * 8))
