@@ -3,6 +3,7 @@ linear maps, Cremona images, products, basis hashing, error parity and the
 record converters.  mul(a, b) == mul(b, a) on every basis pair is
 test_chow_core.test_mul_commutative_exhaustive."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -63,6 +64,21 @@ def test_cremona_involutive_and_multiplicative(mod):
         for b in range(ring.dim + 1 - a):
             for x, y in zip(classes[a], classes[b]):
                 assert mod.cremona(x * y) == mod.cremona(x) * mod.cremona(y)
+
+
+# sha256 of the "basis cycle -> image" lines below, one per basis cycle
+# in ring order, as the hand-written image tables gave them
+INVOLUTION_IMAGES = {
+    "X3": (24, "a47c2f7ed829498011b221b5f3098adca65ba8d1ab098712f0092376b30fdeec"),
+    "X4": (120, "6a55a3fb4a20fbb52d040f7c50c81ef7d8a3cf002e164cc83537363c37fc6e55"),
+}
+
+
+@pytest.mark.parametrize("mod", MODULES, ids=("X3", "X4"))
+def test_involution_images_pinned(mod):
+    lines = [f"{e.name} -> {mod._INVOLUTION[e]!r}" for e in mod.RING.basis()]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == INVOLUTION_IMAGES[mod.RING.ring_id]
 
 
 @pytest.mark.parametrize("ring", (p3.RING, p4.RING), ids=("X3", "X4"))
