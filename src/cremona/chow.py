@@ -749,13 +749,64 @@ def record_from_class(x, layout):
 
 # -- resolved spaces: one module, one lazily built ring --------------------
 
+def cremona_images(ring):
+    """The images of the basis cycles of ring, the resolution of the
+    standard Cremona map of P^n (n = ring.dim), under its lift.
+
+    On divisors it is D_S -> D_{S^c} on the rays of the fan: H -> n*H -
+    sum_T (n - |T|) E_T, E_T -> E_{T^c} for |T| >= 2 and E_i -> H - sum of
+    the E_T with i not in T.  A cycle e of a stored product b*D = c*e +
+    sum c_f f, b one grade lower, D a divisor, c = +-1 and every f mapped,
+    goes to c*(sigma(b)*sigma(D) - sum c_f sigma(f)); a cycle no product
+    reaches raises ChowError naming it.
+    """
+    n, index, rows = ring.dim, ring.index, ring._rows
+    H, one = index[ring.element("H")], index[ring.one]
+    E = {e.idx: index[e] for e in ring.basis(1) if e.kind == "E"}
+    # by basis number, each image as {basis number: coefficient}
+    images = {one: {one: 1}, H: {H: n, **{E[t]: len(t) - n for t in E}}}
+    for t, k in E.items():
+        if len(t) == 1:
+            images[k] = {H: 1, **{E[u]: -1 for u in E if t[0] not in u}}
+        else:
+            rest = [i for i in range(n + 1) if i not in t]
+            images[k] = {index[ring.element("E", rest)]: 1}
+    divisors = [index[e] for e in ring.basis(1)]
+    for grade in range(n + 1):
+        pending = {index[e] for e in ring.basis(grade)} - images.keys()
+        lower = [index[e] for e in ring.basis(grade - 1)] if grade > 1 else ()
+        while pending:
+            left = len(pending)
+            for i, j in ((i, j) for i in lower for j in divisors):
+                new = [kc for kc in rows[i][j] if kc[0] in pending]
+                if len(new) != 1 or abs(new[0][1]) != 1:
+                    continue
+                (k, c), = new
+                # sigma(b) * sigma(D) - sum c_f sigma(f), as mul would
+                acc = {}
+                for a, ca in images[i].items():
+                    for b, cb in images[j].items():
+                        for m, v in rows[a][b]:
+                            acc[m] = acc.get(m, 0) + ca * cb * v
+                for f, cf in rows[i][j]:  # k itself has no image yet
+                    for m, v in images.get(f, {}).items():
+                        acc[m] = acc.get(m, 0) - cf * v
+                images[k] = {m: c * v for m, v in acc.items() if v}
+                pending.discard(k)
+            if len(pending) == left:
+                raise ChowError(f"no Cremona image derived for "
+                                f"{ring.elems[min(pending)].name}")
+    return {e: _numbered_class(ring, e.grade, images[k])
+            for k, e in enumerate(ring.elems)}
+
+
 class Space:
     """The ring of a resolved space and the functions around it.
 
-    The module whose ``globals()`` is namespace defines ``_build_ring()``
-    and ``_involution_images(ring)``, read there at build time; layouts
-    maps each record kind to its ``record_layout`` arguments after the
-    ring.  The space adds ``<kind>_class``, ``<kind>_from_class``,
+    The module whose ``globals()`` is namespace defines ``_build_ring()``,
+    read at build time, and no involution: ``cremona_images`` derives it.
+    layouts maps each record kind to its ``record_layout`` arguments after
+    the ring.  The space adds ``<kind>_class``, ``<kind>_from_class``,
     ``normalize`` and a PEP 562 ``__getattr__`` for ``RING`` and
     ``_INVOLUTION`` to namespace.  ``tables()`` builds on first use, not at
     import, and once even when threads race to it (classes of one ring
@@ -789,8 +840,7 @@ class Space:
         ns = self._namespace
         ring = ns["_build_ring"]()
         return SimpleNamespace(
-            ring=ring, involution=ImageRows(ring,
-                                            ns["_involution_images"](ring)),
+            ring=ring, involution=ImageRows(ring, cremona_images(ring)),
             layouts={kind: record_layout(ring, *spec)
                      for kind, spec in self._layout_args.items()})
 

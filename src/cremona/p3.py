@@ -1,5 +1,6 @@
 """Chow ring of P^3 blown up at the four coordinate points and the six
-lines joining them, with the lifted Cremona involution.
+lines joining them: the module declares its products and record layouts,
+and ``chow.Space`` derives the lifted Cremona involution from them.
 
 Basis, 24 cycles in codimensions 0..3:
 
@@ -86,37 +87,6 @@ def _build_ring() -> ChowRing:
     return R
 
 
-def _involution_images(R: ChowRing) -> dict:
-    img = {}
-    img[R.element("one")] = R.cls("one")
-    img[R.element("p")] = R.cls("p")
-
-    terms = [(("H", ()), 3)]
-    terms += [(("E", (i,)), -2) for i in POINTS]
-    terms += [(("E", q), -1) for q in PAIRS]
-    img[R.element("H")] = R.make_class(1, terms)
-    for i in POINTS:
-        terms = [(("H", ()), 1)]
-        terms += [(("E", (t,)), -1) for t in POINTS if t != i]
-        terms += [(("E", q), -1) for q in PAIRS if i not in q]
-        img[R.element("E", (i,))] = R.make_class(1, terms)
-    for q in PAIRS:
-        img[R.element("E", q)] = R.cls(("E", pair_complement(q)))
-
-    terms = [(("l", ()), 3)] + [(("l", (i,)), -1) for i in POINTS]
-    img[R.element("l")] = R.make_class(2, terms)
-    for i in POINTS:
-        terms = [(("l", ()), 2)]
-        terms += [(("l", (t,)), -1) for t in POINTS if t != i]
-        img[R.element("l", (i,))] = R.make_class(2, terms)
-    for q in PAIRS:
-        k, m = pair_complement(q)
-        img[R.element("f", q)] = R.make_class(2, [
-            (("f", (k, m)), 1), (("l", ()), 1),
-            (("l", (k,)), -1), (("l", (m,)), -1)])
-    return img
-
-
 class _P3Record(IntRecord):
     # the body shared by divisor and curve records (distinct types)
 
@@ -131,7 +101,7 @@ class P3Curve(_P3Record):
     """Curve record (d; m_0..m_3; n over PAIRS order)."""
 
 
-# the ring, its involution and these record layouts, built on first use;
+# ring, derived involution and record layouts, built on first use;
 # each kind: record type, the cycle of d, (sign, cycles) per field
 _space = Space(globals(), "P^3", {
     "divisor": (P3Divisor, ("H",), (-1, [("E", (i,)) for i in POINTS]),

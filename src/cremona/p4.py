@@ -1,6 +1,8 @@
 """Chow ring of P^4 blown up along the resolution tower of the standard
 Cremona involution: first the five coordinate points, then the proper
 transforms of the ten coordinate lines, then of the ten coordinate planes.
+The module declares its products and record layouts; ``chow.Space``
+derives the involution from them.
 
 Basis, 120 cycles in codimensions 0..4:
 
@@ -259,88 +261,6 @@ def _build_ring() -> ChowRing:
     return R
 
 
-def _involution_images(R: ChowRing) -> dict:
-    el = R.element
-    img = {el("one"): R.cls("one"), el("p"): R.cls("p")}
-
-    terms = [(("H", ()), 4)]
-    terms += [(("E", (i,)), -3) for i in POINTS]
-    terms += [(("E", q), -2) for q in PAIRS]
-    terms += [(("E", t), -1) for t in TRIPLES]
-    img[el("H")] = R.make_class(1, terms)
-    for i in POINTS:
-        terms = [(("H", ()), 1)]
-        terms += [(("E", (w,)), -1) for w in POINTS if w != i]
-        terms += [(("E", q), -1) for q in PAIRS if i not in q]
-        terms += [(("E", t), -1) for t in TRIPLES if i not in t]
-        img[el("E", (i,))] = R.make_class(1, terms)
-    for q in PAIRS:
-        img[el("E", q)] = R.cls(("E", pair_complement(q)))
-    for t in TRIPLES:
-        img[el("E", t)] = R.cls(("E", triple_complement(t)))
-
-    terms = [(("S", ()), 6)]
-    terms += [(("S", (i,)), -3) for i in POINTS]
-    terms += [(("P", q), -1) for q in PAIRS]
-    img[el("S")] = R.make_class(2, terms)
-    for m in POINTS:
-        terms = [(("S", ()), 3)]
-        terms += [(("S", (i,)), -2) for i in POINTS if i != m]
-        terms += [(("P", q), -1) for q in PAIRS if m not in q]
-        img[el("S", (m,))] = R.make_class(2, terms)
-
-    def bracket(t, i, j):
-        # H_t - V_t,i - V_t,j of the sorted triple t containing i, j
-        return [(("H", t), 1), (("V", t, i), -1), (("V", t, j), -1)]
-
-    for q in PAIRS:
-        t = pair_complement(q)
-        i, j, k = t
-        terms = [(("S", ()), -1), (("S", (i,)), 1), (("S", (j,)), 1),
-                 (("S", (k,)), 1)]
-        terms += [(("P", r), 1) for r in _pairs_within(t)]
-        img[el("P", q)] = R.make_class(2, terms)
-
-        terms = [(("S", ()), 1), (("S", (i,)), -1), (("S", (j,)), -1),
-                 (("S", (k,)), -1)]
-        terms += [(("P", r), -1) for r in _pairs_within(t)]
-        terms += [(("H", t), 2)] + [(("V", t, w), -1) for w in t]
-        img[el("F", q)] = R.make_class(2, terms)
-
-    for t in TRIPLES:
-        i, j = triple_complement(t)
-        terms = [(("P", (i, j)), 2), (("F", (i, j)), 2)]
-        for w in t:
-            tw = tuple(sorted((i, j, w)))
-            terms += [(e, -c) for e, c in bracket(tw, i, j)]
-        img[el("H", t)] = R.make_class(2, terms)
-        for w in t:
-            u, v = (c for c in t if c != w)
-            terms = [(("P", (i, j)), 1), (("F", (i, j)), 1)]
-            for x in (u, v):
-                tx = tuple(sorted((i, j, x)))
-                terms += [(e, -c) for e, c in bracket(tx, i, j)]
-            img[el("V", t, w)] = R.make_class(2, terms)
-
-    terms = [(("l", ()), 4)] + [(("l", (i,)), -1) for i in POINTS]
-    img[el("l")] = R.make_class(3, terms)
-    for m in POINTS:
-        terms = [(("l", ()), 3)]
-        terms += [(("l", (i,)), -1) for i in POINTS if i != m]
-        img[el("l", (m,))] = R.make_class(3, terms)
-    for q in PAIRS:
-        t = pair_complement(q)
-        terms = [(("l", ()), 2), (("f", t), 1)]
-        terms += [(("l", (w,)), -1) for w in t]
-        img[el("l", q)] = R.make_class(3, terms)
-    for t in TRIPLES:
-        i, j = triple_complement(t)
-        img[el("f", t)] = R.make_class(3, [
-            (("l", ()), 1), (("l", (i,)), -1), (("l", (j,)), -1),
-            (("l", (i, j)), 1)])
-    return img
-
-
 class _P4Record(IntRecord):
     # the body shared by divisor and curve records (distinct types)
 
@@ -366,7 +286,7 @@ class P4Surface(IntRecord):
     FIELDS = (("m", 5), ("ml", 10), ("nl", 10), ("mp", 10), ("np", 30))
 
 
-# the ring, its involution and these record layouts, built on first use;
+# ring, derived involution and record layouts, built on first use;
 # each kind: record type, the cycle of d, (sign, cycles) per field
 _space = Space(globals(), "P^4", {
     "divisor": (P4Divisor, ("H",), (-1, [("E", (i,)) for i in POINTS]),

@@ -148,6 +148,49 @@ def test_cremona_maps_through_the_module_linear_map(mod, monkeypatch):
     assert calls == [mod._INVOLUTION] * 2
 
 
+def p2_ring(extra=False):
+    # P^2 blown up at its three coordinate points, optionally with a
+    # grade-2 cycle q that no product reaches
+    R = chow.ChowRing("X2", 2)
+    R.add_basis(0, "one")
+    H = R.add_basis(1, "H")
+    E = [R.add_basis(1, "E", (i,)) for i in range(3)]
+    p = R.add_basis(2, "p")
+    if extra:
+        R.add_basis(2, "q")
+    R.set_product(H, H, [(p, 1)])
+    for i, a in enumerate(E):
+        R.set_product(H, a, [])
+        for b in E[i:]:
+            R.set_product(a, b, [(p, -1)] if a is b else [])
+    R.finalize()
+    return R
+
+
+def test_space_derives_the_quadratic_transformation_of_p2():
+    namespace = {"__name__": "p2", "_build_ring": p2_ring}
+    chow.Space(namespace, "P^2", {})
+    ring = namespace["__getattr__"]("RING")
+    inv = namespace["__getattr__"]("_INVOLUTION")
+    assert inv.ring is ring
+    assert inv[ring.element("H")] == ring.make_class(
+        1, [("H", 2), ("E0", -1), ("E1", -1), ("E2", -1)])
+    for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        assert inv[ring.element("E", (i,))] == ring.make_class(
+            1, [("H", 1), (f"E{j}", -1), (f"E{k}", -1)])
+    assert inv[ring.element("p")] == ring.cls("p")
+    assert inv[ring.one] == ring.cls(ring.one)
+    for e in ring.basis():
+        assert chow.linear_map(inv[e], inv) == ring.cls(e)
+
+
+def test_space_names_a_cycle_it_cannot_map():
+    namespace = {"__name__": "p2", "_build_ring": lambda: p2_ring(True)}
+    space = chow.Space(namespace, "P^2", {})
+    with pytest.raises(chow.ChowError, match="no Cremona image derived for q"):
+        space.tables()
+
+
 # -- only real ints in classes, only curve records in k_curve -------------------
 
 def test_classes_refuse_non_int_coefficients_and_grades():
