@@ -434,10 +434,15 @@ class ChowRing:
             return scale(y, x.coeff(self.one))
         if y.grade == 0:
             return scale(x, y.coeff(self.one))
-        ys = self._numbered(y)
+        return _numbered_class(
+            self, g, self._products(self._numbered(x), self._numbered(y)))
+
+    def _products(self, xs, ys) -> dict:
+        # {basis number: coefficient} of the product of the classes whose
+        # (basis number, coefficient) terms are xs and ys
         rows = self._rows
         acc = {}
-        for i, ca in self._numbered(x):
+        for i, ca in xs:
             row = rows[i]
             for j, cb in ys:
                 entry = row[j]
@@ -451,7 +456,7 @@ class ChowRing:
                         acc[k] += cab * c
                     else:
                         acc[k] = cab * c
-        return _numbered_class(self, g, acc)
+        return acc
 
     def _numbered(self, x: ChowClass) -> list:
         # (basis number, coefficient) of each term of x, in x's order
@@ -782,12 +787,8 @@ def cremona_images(ring):
                 if len(new) != 1 or abs(new[0][1]) != 1:
                     continue
                 (k, c), = new
-                # sigma(b) * sigma(D) - sum c_f sigma(f), as mul would
-                acc = {}
-                for a, ca in images[i].items():
-                    for b, cb in images[j].items():
-                        for m, v in rows[a][b]:
-                            acc[m] = acc.get(m, 0) + ca * cb * v
+                # sigma(b) * sigma(D) - sum c_f sigma(f)
+                acc = ring._products(images[i].items(), images[j].items())
                 for f, cf in rows[i][j]:  # k itself has no image yet
                     for m, v in images.get(f, {}).items():
                         acc[m] = acc.get(m, 0) - cf * v

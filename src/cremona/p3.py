@@ -1,6 +1,5 @@
 """Chow ring of P^3 blown up at the four coordinate points and the six
-lines joining them: the module declares its products and record layouts,
-and ``chow.Space`` derives the lifted Cremona involution from them.
+lines joining them; ``chow.Space`` derives its lifted Cremona involution.
 
 Basis, 24 cycles in codimensions 0..3:
 

@@ -1,8 +1,7 @@
 """Chow ring of P^4 blown up along the resolution tower of the standard
 Cremona involution: first the five coordinate points, then the proper
 transforms of the ten coordinate lines, then of the ten coordinate planes.
-The module declares its products and record layouts; ``chow.Space``
-derives the involution from them.
+``chow.Space`` derives the lifted involution from the products below.
 
 Basis, 120 cycles in codimensions 0..4:
 
