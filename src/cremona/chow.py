@@ -780,9 +780,10 @@ def cremona_images(ring):
     for grade in range(n + 1):
         pending = {index[e] for e in ring.basis(grade)} - images.keys()
         lower = [index[e] for e in ring.basis(grade - 1)] if grade > 1 else ()
+        nonzero = [(i, j) for i in lower for j in divisors if rows[i][j]]
         while pending:
             left = len(pending)
-            for i, j in ((i, j) for i in lower for j in divisors):
+            for i, j in nonzero:
                 new = [kc for kc in rows[i][j] if kc[0] in pending]
                 if len(new) != 1 or abs(new[0][1]) != 1:
                     continue
