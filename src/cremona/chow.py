@@ -3,8 +3,8 @@
 The two rings this package cares about (``cremona.p3.RING`` and
 ``cremona.p4.RING``) are finite free Z-modules graded by codimension.
 This module holds the ring-independent machinery: basis labels, sparse
-classes with exact integer coefficients, and table-driven bilinear
-products.
+classes with exact integer coefficients, table-driven bilinear products
+and the Cremona involution each resolved space derives from its table.
 
 A ring numbers its basis once, in ``add_basis`` order: ``ring.elems[k]``
 is basis cycle number k and ``ring.index[elem]`` its number.  The product
