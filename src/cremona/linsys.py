@@ -8,9 +8,9 @@ into the base locus.  Everything is exact integer arithmetic.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
-from operator import mul
+from operator import itemgetter, mul
 
 from . import weyl
 from .chow import Value, check_kind, int_tuple
@@ -20,10 +20,17 @@ def _c4(a):
     return comb(a, 4) if a >= 4 else 0
 
 
-# the line/quartic scan refuses more seven point subsets than this, so
-# s <= 23; cremona report at s = 23 with every quartic listed takes about
-# 1.5 s (one scan plus the printing), while s = 40 would take minutes
+# base_locus_report lists at most this many quartics with k > 0, and at
+# most this many lines.  Up to 23 points there are never more (C(23, 7) =
+# 245 157 seven point subsets); past that the report counts them first and
+# refuses with a ValueError, so (1; 1^40), whose C(40, 7) quartics all have
+# k = 3, is refused at once.
 MAX_QUARTIC_SUBSETS = 250_000
+
+# the line and quartic counts refuse past this many states: the subsets of
+# at most seven of 23 points, sum(comb(23, n) for n in range(8)), so no
+# s <= 23 is ever refused
+MAX_COUNT_STATES = 390_656
 
 
 class FatPointDivisor(Value):
@@ -213,38 +220,138 @@ def _binomial_sum(D, types, weight, shift):
     return total
 
 
-def _curve_cycles(D):
-    # (tag, idx, k) for every line and every quartic through seven points,
-    # in lex order, k read off inline.  On at most eight points a quartic
-    # is the Q_k of quartic_slots, idx = (k,) for the label it misses;
-    # with more points idx lists its seven labels.  For 6 <= s <= 8 these
-    # are exactly the Weyl lines.
+def _value_classes(m):
+    # the distinct entries of m with their multiplicities, largest first
+    counts = {}
+    for x in m:
+        counts[x] = counts.get(x, 0) + 1
+    return sorted(counts.items(), reverse=True)
+
+
+def _line_counts(classes, d, floor):
+    # {k: lines L_ij with that k} over k = m_i + m_j - d >= floor, from
+    # pairs of value classes a >= b, largest first: a row ends at the first
+    # b with a + b - d < floor, and the count at the first a with
+    # 2a - d < floor.  Past MAX_COUNT_STATES pairs in its rows it refuses.
+    table, budget = {}, MAX_COUNT_STATES
+    for i, (a, ca) in enumerate(classes):
+        if 2 * a - d < floor:
+            break
+        budget -= len(classes) - i
+        if budget < 0:
+            raise ValueError(f"counting the lines takes more than "
+                             f"{MAX_COUNT_STATES} states")
+        for b, cb in classes[i:]:
+            k = a + b - d
+            if k < floor:
+                break
+            n = ca * (ca - 1) // 2 if b == a else ca * cb
+            if n:
+                table[k] = table.get(k, 0) + n
+    return table
+
+
+def _quartic_counts(classes, top, d, floor):
+    # {k: seven point subsets with that k} over k = sum - 4d >= floor, by a
+    # DP over the value classes, largest first; top[j] is the sum of the j
+    # largest entries.  A state is n < 7 chosen points with sum total,
+    # keyed total * 8 + n, and maps to the number of ways to choose them;
+    # done maps the sums of seven.  Taking t points of value v, largest t
+    # first, stops at the first t whose best completion (the entries right
+    # after this class) misses the floor or runs out of points: fewer t
+    # only do worse.  Past MAX_COUNT_STATES states held at once it refuses.
+    s, need = len(top) - 1, floor + 4 * d
+    states, done, pos = {0: 1}, {}, 0
+    for v, c in classes:
+        pos += c
+        bar = need + top[pos]  # got + top[pos + rest] - top[pos] >= need
+        new, held = {}, len(done)
+        for key, count in states.items():
+            n, total = key & 7, key >> 3
+            for t in range(min(c, 7 - n), -1, -1):
+                rest, got = 7 - n - t, total + t * v
+                if pos + rest > s or got + top[pos + rest] < bar:
+                    break
+                into, at = (new, got * 8 + n + t) if rest else (done, got)
+                old = into.get(at)
+                if old is None:
+                    held += 1
+                    if held > MAX_COUNT_STATES:
+                        raise ValueError(f"counting the quartics takes more "
+                                         f"than {MAX_COUNT_STATES} states")
+                    old = 0
+                into[at] = old + count * comb(c, t)
+        if not new:
+            break
+        states = new
+    return {total - 4 * d: count for total, count in done.items()}
+
+
+def _quartic_slots(D):
+    # (k, k_Q) for the Q_k of quartic_slots, at most eight points
+    rest = sum(D.m) - 4 * D.d
+    return [(k, rest - (D.m[k - 1] if k <= D.s else 0))
+            for k in weyl.quartic_slots(D.s)]
+
+
+def _curve_counts(D, floor):
+    # the lines and the quartics through seven points with k >= floor, as
+    # two {k: how many} tables; on at most eight points the quartics are
+    # the Q_k slots, and for 6 <= s <= 8 these are exactly the Weyl lines
     check_kind(D, _DIVISOR_KINDS)
-    s, d, m = D.s, D.d, D.m
-    if comb(s, 7) > MAX_QUARTIC_SUBSETS:
-        raise ValueError(
-            f"{comb(s, 7)} quartics through seven of {s} points are more "
-            f"than the scan covers ({MAX_QUARTIC_SUBSETS})")
-    labels = range(1, s + 1)
-    for pair, (a, b) in zip(combinations(labels, 2), combinations(m, 2)):
-        yield "line", pair, a + b - d
-    if s <= 8:
-        rest = sum(m) - 4 * d
-        for k in weyl.quartic_slots(s):
-            yield "quartic", (k,), rest - (m[k - 1] if k <= s else 0)
-    else:
-        for sub, ms in zip(combinations(labels, 7), combinations(m, 7)):
-            yield "quartic", sub, sum(ms) - 4 * d
+    classes = _value_classes(D.m)
+    lines = _line_counts(classes, D.d, floor)
+    if D.s > 8:
+        top = list(accumulate(sorted(D.m, reverse=True), initial=0))
+        return lines, _quartic_counts(classes, top, D.d, floor)
+    quartics = {}
+    for _, k in _quartic_slots(D):
+        if k >= floor:
+            quartics[k] = quartics.get(k, 0) + 1
+    return lines, quartics
 
 
 def h1_correction(D):
     """Sum of C(2 + k_C, 4) over the one dimensional Weyl cycles.
 
-    Lines are indexed by point pairs and quartics by seven point subsets,
-    so this makes sense for any s up to the MAX_QUARTIC_SUBSETS bound
-    (ValueError past it); cycles with k_C <= 1 contribute zero.
+    Lines are indexed by point pairs and quartics by seven point subsets;
+    only cycles with k_C >= 2 contribute.  They are counted, not listed:
+    lines by pairs of distinct values of m, quartics by a DP over those
+    values, so this works for any s (ValueError only if the count would
+    hold more than MAX_COUNT_STATES states, which no s <= 23 reaches).
     """
-    return sum(_c4(2 + k) for _, _, k in _curve_cycles(D))
+    return sum(n * _c4(2 + k) for table in _curve_counts(D, 2)
+               for k, n in table.items())
+
+
+def _heavy(m, size, need):
+    # the size-subsets of labels (size >= 2) whose entries of m sum to at
+    # least need, as (labels in walk order, sum).  The walk runs over m
+    # sorted down and leaves a branch at the first next entry whose best
+    # completion (the entries right after it) misses need, so every step it
+    # takes ends in a listed subset; the last two points are a pair scan.
+    ranked = sorted(zip(m, range(1, len(m) + 1)), reverse=True)
+    top = list(accumulate(sorted(m, reverse=True), initial=0))
+    found = []
+
+    def walk(start, chosen, total, left):
+        if left == 2:
+            for p, (a, i) in enumerate(ranked[start:-1], start + 1):
+                if total + a + ranked[p][0] < need:
+                    break
+                for b, j in ranked[p:]:
+                    if total + a + b < need:
+                        break
+                    found.append(((*chosen, i, j), total + a + b))
+            return
+        for p in range(start, len(ranked) - left + 1):
+            if total + top[p + left] - top[p] < need:
+                break
+            v, i = ranked[p]
+            walk(p + 1, (*chosen, i), total + v, left - 1)
+
+    walk(0, (), 0, size)
+    return found
 
 
 def wdim(D, lines_only=False):
@@ -318,29 +425,47 @@ class BaseLocusReport(Value):
 
 
 def base_locus_report(D):
-    """Scan the Weyl cycles for positive containment multiplicities.
+    """List the Weyl cycles with positive containment multiplicities.
 
-    One pass over the lines and quartics serves every s the scan covers
-    (ValueError past MAX_QUARTIC_SUBSETS seven point subsets); h1corr
-    sums C(2 + k, 4) over the deep curves, the only ones with a nonzero
-    term.  For 6 <= s <= 8 every Weyl plane is scanned, a permutation
-    type at a time, skipped when its best arrangement gives k <= 0, and
-    the meeting pairs are read off precomputed bitmasks.  With fewer
-    points no Cremona keeps a plane effective, so only the actual planes
-    S_1(ijk) are checked, directly.  Past eight points no planes are
-    listed.
+    The lines and quartics with k > 0 are listed in lex order of their
+    labels by a walk over m sorted down that leaves a branch as soon as its
+    best completion gives k <= 0, so the walk's work follows what it lists;
+    on at most eight points the quartics are the Q_k slots.  Up to 23 points
+    there are at most MAX_QUARTIC_SUBSETS quartics.  Past that the curves
+    with k > 0 are counted first, from the tables h1_correction reads, and
+    more than MAX_QUARTIC_SUBSETS of them (quartics or lines) raise
+    ValueError before anything is listed.  h1corr sums C(2 + k, 4) over the
+    deep curves.  For 6 <= s <= 8 every Weyl plane is scanned, a
+    permutation type at a time, skipped when its best arrangement gives
+    k <= 0, and the meeting pairs are read off precomputed bitmasks.  With
+    fewer points no Cremona keeps a plane effective, so only the actual
+    planes S_1(ijk) are checked, directly.  Past eight points no planes
+    are listed.
     """
-    lines, quartics, deep = {}, {}, []
-    for tag, idx, k in _curve_cycles(D):
-        if k <= 0:
-            continue
-        if tag == "line":
-            lines[idx] = k
-        else:
-            quartics[idx[0] if len(idx) == 1 else idx] = k
-        if k >= 2:
-            deep.append((tag, idx, k))
-    deep.sort()
+    check_kind(D, _DIVISOR_KINDS)
+    s, d, m = D.s, D.d, D.m
+    if comb(s, 7) > MAX_QUARTIC_SUBSETS:
+        # past 23 points there could be more: count before listing
+        for what, table in zip(("lines", "quartics"), _curve_counts(D, 1)):
+            listed = sum(table.values())
+            if listed > MAX_QUARTIC_SUBSETS:
+                raise ValueError(
+                    f"{listed} {what} with k > 0 on {s} points are more "
+                    f"than the scan covers ({MAX_QUARTIC_SUBSETS})")
+    # each walk's subsets put back in lex order of their sorted labels
+    lines = dict(sorted(((i, j) if i < j else (j, i), total - d)
+                        for (i, j), total in _heavy(m, 2, d + 1)))
+    if s > 8:
+        quartics = dict(sorted(
+            ((tuple(sorted(q)), total - 4 * d)
+             for q, total in _heavy(m, 7, 4 * d + 1)), key=itemgetter(0)))
+        deep_quartics = quartics.items()
+    else:
+        quartics = {k: v for k, v in _quartic_slots(D) if v > 0}
+        deep_quartics = [((k,), v) for k, v in quartics.items()]
+    # both tables are in lex order, and "line" < "quartic"
+    deep = [("line", idx, k) for idx, k in lines.items() if k >= 2]
+    deep += [("quartic", idx, k) for idx, k in deep_quartics if k >= 2]
     planes, conflicts = {}, []
     if D.s in weyl.POINT_COUNTS:
         labels, types, rank, ranked, later = _plane_table(D.s)
@@ -383,4 +508,4 @@ def base_locus_report(D):
                            pairwise_conflicts=tuple(conflicts),
                            empties_hint=bool(conflicts),
                            deep_curves=tuple(deep), chi=chi(D),
-                           h1corr=sum(_c4(2 + k) for _, _, k in deep))
+                           h1corr=sum(_c4(2 + k) for *_, k in deep))

@@ -528,16 +528,18 @@ def test_report_lines_only_flag(capsys, tmp_path):
     (4, 1, (), 1),
 ])
 def test_report_scans_once(capsys, tmp_path, monkeypatch, s, d, flags, most):
-    # one report is one base_locus_report scan; only the full wdim at
-    # s = 6, 7, 8 reads the lines and quartics a second time
+    # one report is one base_locus_report pass over the lines and
+    # quartics; only the full wdim at s = 6, 7, 8 counts them a second time
     calls = []
-    scan = linsys._curve_cycles
 
-    def counted(D):
-        calls.append(D)
-        return scan(D)
+    def counted(fn):
+        def wrapper(D, *args):
+            calls.append(D)
+            return fn(D, *args)
+        return wrapper
 
-    monkeypatch.setattr(linsys, "_curve_cycles", counted)
+    for name in ("base_locus_report", "_curve_counts"):
+        monkeypatch.setattr(linsys, name, counted(getattr(linsys, name)))
     src = write_json(tmp_path / "d.json",
                      {"kind": "divisor", "s": s, "d": d,
                       "m": [d] + [2] * (s - 1)})
