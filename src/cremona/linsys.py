@@ -324,28 +324,38 @@ def h1_correction(D):
                for k, n in table.items())
 
 
-def _heavy(m, size, need):
-    # the size-subsets of labels (size >= 2) whose entries of m sum to at
-    # least need, as (labels in walk order, sum).  The walk runs over m
-    # sorted down and leaves a branch at the first next entry whose best
-    # completion (the entries right after it) misses need, so every step it
-    # takes ends in a listed subset; the last two points are a pair scan.
-    ranked = sorted(zip(m, range(1, len(m) + 1)), reverse=True)
-    top = list(accumulate(sorted(m, reverse=True), initial=0))
+def _pair_walk(ranked, start, base):
+    # the pairs of ranked (m sorted down, with labels) from start on with
+    # k = a + b - base > 0, as (sorted labels, k): a row ends at the first
+    # entry with k <= 0, and the walk at the first row whose next entry
+    # gives k <= 0
+    found = []
+    for p, (a, i) in enumerate(ranked[start:-1], start + 1):
+        if a + ranked[p][0] <= base:
+            break
+        for b, j in ranked[p:]:
+            if a + b <= base:
+                break
+            found.append(((i, j) if i < j else (j, i), a + b - base))
+    return found
+
+
+def _heavy(ranked, size, base):
+    # the size-subsets of ranked (size > 2) with k = sum - base > 0, as
+    # (labels, k).  The walk leaves a branch at the first next entry whose
+    # best completion (the entries right after it) gives k <= 0, so every
+    # step it takes ends in a listed subset; the last two points are a
+    # _pair_walk.
+    top = list(accumulate((v for v, _ in ranked), initial=0))
     found = []
 
     def walk(start, chosen, total, left):
         if left == 2:
-            for p, (a, i) in enumerate(ranked[start:-1], start + 1):
-                if total + a + ranked[p][0] < need:
-                    break
-                for b, j in ranked[p:]:
-                    if total + a + b < need:
-                        break
-                    found.append(((*chosen, i, j), total + a + b))
+            found.extend(((*chosen, *pair), k) for pair, k in
+                         _pair_walk(ranked, start, base - total))
             return
         for p in range(start, len(ranked) - left + 1):
-            if total + top[p + left] - top[p] < need:
+            if total + top[p + left] - top[p] <= base:
                 break
             v, i = ranked[p]
             walk(p + 1, (*chosen, i), total + v, left - 1)
@@ -452,13 +462,14 @@ def base_locus_report(D):
                 raise ValueError(
                     f"{listed} {what} with k > 0 on {s} points are more "
                     f"than the scan covers ({MAX_QUARTIC_SUBSETS})")
-    # each walk's subsets put back in lex order of their sorted labels
-    lines = dict(sorted(((i, j) if i < j else (j, i), total - d)
-                        for (i, j), total in _heavy(m, 2, d + 1)))
+    # the walks run over m sorted down; their subsets are put back in lex
+    # order of the sorted labels
+    ranked = sorted(zip(m, range(1, s + 1)), reverse=True)
+    lines = dict(sorted(_pair_walk(ranked, 0, d)))
     if s > 8:
-        quartics = dict(sorted(
-            ((tuple(sorted(q)), total - 4 * d)
-             for q, total in _heavy(m, 7, 4 * d + 1)), key=itemgetter(0)))
+        quartics = dict(sorted(((tuple(sorted(q)), k)
+                                for q, k in _heavy(ranked, 7, 4 * d)),
+                               key=itemgetter(0)))
         deep_quartics = quartics.items()
     else:
         quartics = {k: v for k, v in _quartic_slots(D) if v > 0}
@@ -508,4 +519,4 @@ def base_locus_report(D):
                            pairwise_conflicts=tuple(conflicts),
                            empties_hint=bool(conflicts),
                            deep_curves=tuple(deep), chi=chi(D),
-                           h1corr=sum(_c4(2 + k) for *_, k in deep))
+                           h1corr=sum(_c4(2 + k) for _, _, k in deep))
