@@ -340,7 +340,7 @@ def _pair_walk(ranked, start, base):
     return found
 
 
-def _heavy(ranked, size, base):
+def _subset_walk(ranked, size, base):
     # the size-subsets of ranked (size > 2) with k = sum - base > 0, as
     # (labels, k).  The walk leaves a branch at the first next entry whose
     # best completion (the entries right after it) gives k <= 0, so every
@@ -468,7 +468,7 @@ def base_locus_report(D):
     lines = dict(sorted(_pair_walk(ranked, 0, d)))
     if s > 8:
         quartics = dict(sorted(((tuple(sorted(q)), k)
-                                for q, k in _heavy(ranked, 7, 4 * d)),
+                                for q, k in _subset_walk(ranked, 7, 4 * d)),
                                key=itemgetter(0)))
         deep_quartics = quartics.items()
     else:

@@ -159,3 +159,22 @@ def test_cli_report_past_23_points(capsys, tmp_path):
         f"chi={linsys.chi(F(24, 3, (1,) * 24))} "
         f"wdim(lines-only)={linsys.chi(F(24, 3, (1,) * 24))} h1corr=0",
         "lines: none", "quartics: none"]
+
+
+def test_report_walk_takes_no_step_that_lists_nothing(monkeypatch):
+    # the quartic walk descends only where its best completion has k > 0,
+    # so each pair walk it ends in lists at least one pair; the first pair
+    # walk of a report is the line listing, which may be empty
+    results = []
+    pair_walk = linsys._pair_walk
+
+    def recorded(ranked, start, base):
+        results.append(pair_walk(ranked, start, base))
+        return results[-1]
+
+    monkeypatch.setattr(linsys, "_pair_walk", recorded)
+    for D in seeded_divisors(5, 150):
+        if D.s > 8:
+            results.clear()
+            linsys.base_locus_report(D)
+            assert all(results[1:])
