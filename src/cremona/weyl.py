@@ -89,29 +89,13 @@ _DEAD_SLOTS = {s: (tuple(range(s + 1, 9)),
 
 
 class _PointRecord(Value):
-    # the body shared by divisor and curve records (distinct types); an
-    # orbit walk builds, hashes and sorts these, so each step is written out
+    # the body shared by divisor and curve records (distinct types)
 
     __match_args__ = ("s", "d", "m")
 
     def __init__(self, s, d, m):
         _check_point_count(s)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "d", int_tuple((d,), 1, "d")[0])
-        object.__setattr__(self, "m", int_tuple(m, s, "m"))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.s, self.d, self.m) == (other.s, other.d, other.m)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.s, self.d, self.m))
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.s, self.d, self.m) < (other.s, other.d, other.m)
-        return NotImplemented
+        self._set(s, int_tuple((d,), 1, "d")[0], int_tuple(m, s, "m"))
 
 
 class DivisorRecord(_PointRecord):
@@ -149,22 +133,6 @@ class SurfaceRecord(IntRecord):
                 i, j = PAIRS8[pos]
                 raise ValueError(f"line L_{i}{j} does not exist for s={self.s}")
 
-    # written out as for point records: orbit walks and the plane tables
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.s, self.d, self.m, self.n, self.mline)
-                    == (other.s, other.d, other.m, other.n, other.mline))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.s, self.d, self.m, self.n, self.mline))
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.s, self.d, self.m, self.n, self.mline)
-                    < (other.s, other.d, other.m, other.n, other.mline))
-        return NotImplemented
-
     def line(self, i, j):
         """Multiplicity along the line L_ij, for labels i != j in 1..8."""
         return self.mline[PAIR_POS[_check_labels((i, j), 8, 2)]]
@@ -185,7 +153,7 @@ class Perm(Value):
     def __init__(self, image):
         img = tuple(image)
         _check_labels(img, len(img), len(img))
-        object.__setattr__(self, "image", img)
+        self._set(img)
 
     @property
     def s(self):
@@ -196,6 +164,7 @@ class Perm(Value):
         return all(v == i for i, v in enumerate(self.image, start=1))
 
     def __call__(self, i):
+        i, = _check_labels((i,), self.s, 1)
         return self.image[i - 1]
 
     def inverse(self):
@@ -208,7 +177,7 @@ class Cremona5(Value):
     __match_args__ = ("centers",)
 
     def __init__(self, centers):
-        object.__setattr__(self, "centers", _check_centers(8, centers))
+        self._set(_check_centers(8, centers))
 
 
 def _check_centers(s, centers):
@@ -335,11 +304,10 @@ def _scatter(values, image):
 
 
 def _prechecked(cls, *values):
-    # cls(*values) for values known to pass its checks, with Value._set
-    # written out: every relabeling in an orbit walk comes through here
+    # cls(*values) for values known to pass its checks, which it skips:
+    # every relabeling in an orbit walk comes through here
     obj = object.__new__(cls)
-    for name, value in zip(cls.__match_args__, values):
-        object.__setattr__(obj, name, value)
+    obj._set(*values)
     return obj
 
 

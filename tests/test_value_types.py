@@ -103,6 +103,26 @@ def test_records_sort_by_their_field_tuples():
             assert (u <= v) == (fields(u) <= fields(v))
             assert (u > v) == (fields(u) > fields(v))
             assert (u >= v) == (fields(u) >= fields(v))
+    # every Weyl plane and line at s = 7 and 8, and seeded point records
+    # with negative entries, sort and hash as their field tuples
+    rng = random.Random(2406)
+    for s in (6, 7, 8):
+        groups = [[cls(s, rng.randint(-3, 3),
+                       tuple(rng.randint(-3, 3) for _ in range(s)))
+                   for _ in range(60)]
+                  for cls in (weyl.DivisorRecord, weyl.CurveRecord)]
+        if s > 6:
+            groups += [weyl.weyl_planes(s), weyl.weyl_lines(s)]
+        for group in groups:
+            shuffled = list(group)
+            rng.shuffle(shuffled)
+            assert sorted(shuffled) == sorted(shuffled, key=fields)
+            assert all(hash(x) == hash(fields(x)) for x in group)
+    # only records of one class are ordered
+    point, plane = weyl.line_record(1, 2), weyl.s1_plane(1, 2, 3)
+    for u, v in ((point, plane), (plane, point)):
+        with pytest.raises(TypeError):
+            u < v
 
 
 def test_orbit_result_and_base_locus_report_are_frozen_values():
