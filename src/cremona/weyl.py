@@ -119,8 +119,7 @@ class SurfaceRecord(IntRecord):
 
     def __init__(self, s, d, m, n, mline):
         _check_point_count(s)
-        object.__setattr__(self, "s", s)
-        IntRecord.__init__(self, d, m, n, mline)
+        self._set(s, *self._entries(d, (m, n, mline), {}))
         points, quartics, lines = _DEAD_SLOTS[self.s]
         for i in points:
             if self.m[i - 1] != 0:
