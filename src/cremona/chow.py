@@ -30,6 +30,7 @@ from __future__ import annotations
 import re
 import threading
 from collections.abc import Mapping
+from operator import attrgetter
 from types import SimpleNamespace
 
 INT64_MAX = 2**63 - 1
@@ -75,18 +76,22 @@ class Value:
     """Base of the package's frozen value types.
 
     A subclass names its fields, in order, in ``__match_args__``; its
-    ``__init__`` stores their checked values for good, through ``_set``.
-    Values compare, order and hash as field tuples, within one class: twin
-    kinds stay apart.
+    ``__init__`` stores their checked values for good.  Values compare,
+    order and hash as field tuples, within one class: twin kinds stay apart.
     """
 
     __match_args__ = ()
 
+    def __init_subclass__(cls):
+        names = cls.__match_args__
+        if names:  # _fields: the field tuple, read by one C call
+            get = attrgetter(*names)
+            cls._fields = property(get if len(names) > 1
+                                   else lambda value: (get(value),))
+
     def _set(self, *values):
         for name, value in zip(self.__match_args__, values):
             object.__setattr__(self, name, value)
-        # kept whole: every comparison and hash reads the field tuple
-        object.__setattr__(self, "_fields", values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -135,7 +140,7 @@ class BasisElement(Value):
         self._set(ring, grade, kind, idx, sub)
         # computed once: every dict probe on a class or on a ring's index
         # hashes its key
-        object.__setattr__(self, "_hash", hash(self._fields))
+        object.__setattr__(self, "_hash", hash((ring, grade, kind, idx, sub)))
 
     def __hash__(self):
         return self._hash
@@ -667,10 +672,9 @@ class IntRecord(Value):
     FIELDS, as (name, length) pairs; its ``__match_args__`` (d and those
     names) and ``T(d, *fields)``, fields in order or by name, follow.  A
     type with more fields (a leading s) sets its own ``__match_args__`` and
-    ``__init__``, which passes its leading values and ``_entries`` to
-    ``_set``.  A d or an entry that is not exactly an int, or a wrong
-    length, raises ValueError; a missing, repeated or unknown field raises
-    TypeError.
+    ``__init__``, which calls ``IntRecord.__init__``.  A d or an entry that
+    is not exactly an int, or a wrong length, raises ValueError; a missing,
+    repeated or unknown field raises TypeError.
     """
 
     FIELDS = ()
@@ -681,19 +685,15 @@ class IntRecord(Value):
         super().__init_subclass__()
 
     def __init__(self, d, *fields, **named):
-        self._set(*self._entries(d, fields, named))
-
-    def _entries(self, d, fields, named):
-        # d and the fields, checked, in order
         if named:  # the fields after those given in order, by name
             fields += tuple([named.pop(name) for name, _
                              in self.FIELDS[len(fields):] if name in named])
         if named or len(fields) != len(self.FIELDS):
             raise TypeError(f"{type(self).__name__} takes d and the fields "
                             f"{', '.join(name for name, _ in self.FIELDS)}")
-        return (int_tuple((d,), 1, "d")[0],
-                *[int_tuple(values, n, name)
-                  for (name, n), values in zip(self.FIELDS, fields)])
+        object.__setattr__(self, "d", int_tuple((d,), 1, "d")[0])
+        for (name, n), values in zip(self.FIELDS, fields):
+            object.__setattr__(self, name, int_tuple(values, n, name))
 
 
 def check_kind(rec, kinds):

@@ -119,7 +119,8 @@ class SurfaceRecord(IntRecord):
 
     def __init__(self, s, d, m, n, mline):
         _check_point_count(s)
-        self._set(s, *self._entries(d, (m, n, mline), {}))
+        object.__setattr__(self, "s", s)
+        IntRecord.__init__(self, d, m, n, mline)
         points, quartics, lines = _DEAD_SLOTS[self.s]
         for i in points:
             if self.m[i - 1] != 0:
