@@ -175,7 +175,7 @@ def test_perm_inverse_and_order_match_reference(s):
         assert (weyl._perm_from_order(order, s)
                 == ref_perm_from_order(order, s))
         assert [perm(i) for i in range(1, s + 1)] == list(image)
-    for label in (0, -1, True, s + 1, 1.0):  # a point label, as everywhere
+    for label in (0, -1, True, s + 1, 1.0):  # outside 1..s, or not an int
         with pytest.raises(ValueError):
             perm(label)
 
